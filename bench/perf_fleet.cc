@@ -2,14 +2,13 @@
  * @file
  * Fleet-serving scaling bench: wall-clock of one multi-tenant fleet run
  * (sim/fleet.hh) on the serial multiplexed oracle (numThreads = 1) vs
- * the tenant-sharded parallel path vs the batched decision path with
- * double-buffered async training (FleetServing), swept over tenant
- * counts, plus an A/B bit-exactness check across all three paths
- * (serialized results JSON compared byte-for-byte; any divergence makes
- * the bench exit nonzero). Emits BENCH_fleet.json with wall times,
- * aggregate fleet request throughput, speedups — the headline series is
- * batched-parallel against the unbatched serial oracle — and the
- * equivalence verdict.
+ * the tenant-sharded parallel path at the machine's core count, swept
+ * over tenant counts, plus an A/B bit-exactness check between the two
+ * paths (serialized results JSON compared byte-for-byte; any divergence
+ * makes the bench exit nonzero). Emits BENCH_fleet.json with wall
+ * times, aggregate fleet request throughput, speedups — the headline
+ * series is sharded against the serial oracle — and the equivalence
+ * verdict.
  *
  * SIBYL_BENCH_REQUESTS overrides the per-tenant trace length for CI
  * smoke runs.
@@ -37,8 +36,7 @@ namespace
 /** Heterogeneous fleet: the tenant lineup cycles an RL policy and
  *  three heuristics over four MSRC personalities. */
 sim::RunSpec
-fleetSpec(std::size_t tenants, std::size_t perTenantLen,
-          sim::FleetServing serving = {})
+fleetSpec(std::size_t tenants, std::size_t perTenantLen)
 {
     static const char *kPolicies[] = {"Sibyl{trainEvery=100}", "CDE",
                                       "HPS", "Archivist"};
@@ -55,7 +53,6 @@ fleetSpec(std::size_t tenants, std::size_t perTenantLen,
             workloadLabel += '+';
         workloadLabel += t.workload;
     }
-    fleet->serving = serving;
 
     sim::RunSpec s;
     s.policy = "Fleet";
@@ -75,13 +72,13 @@ struct FleetRun
 
 FleetRun
 timedRun(std::size_t tenants, std::size_t perTenantLen,
-         unsigned numThreads, sim::FleetServing serving = {})
+         unsigned numThreads)
 {
     sim::ParallelConfig cfg;
     cfg.numThreads = numThreads;
     sim::ParallelRunner runner(cfg);
     const std::vector<sim::RunSpec> specs = {
-        fleetSpec(tenants, perTenantLen, serving)};
+        fleetSpec(tenants, perTenantLen)};
     const auto start = std::chrono::steady_clock::now();
     const auto records = runner.runAll(specs);
     FleetRun out;
@@ -115,52 +112,35 @@ main()
     json.add("threads", static_cast<double>(hw));
     json.add("per_tenant_requests", static_cast<double>(perTenantLen));
 
-    sim::FleetServing batchedServing;
-    batchedServing.batched = true;
-    batchedServing.asyncTraining = true;
-
     TextTable tab;
     tab.header({"tenants", "requests", "serial (s)", "parallel (s)",
-                "batched (s)", "speedup", "batched x", "fleet req/s",
-                "bit-exact"});
+                "speedup", "fleet req/s", "bit-exact"});
     bool allExact = true;
     for (std::size_t tenants : tenantCounts) {
         const FleetRun serial = timedRun(tenants, perTenantLen, 1);
         const FleetRun parallel = timedRun(tenants, perTenantLen, hw);
-        // The headline series: batched decision windows plus the
-        // double-buffered async training cadence, on all cores.
-        const FleetRun batched =
-            timedRun(tenants, perTenantLen, hw, batchedServing);
-        // A/B twin check: all three paths must serialize to the same
-        // bytes (serving strategy is not identity).
-        const bool bitExact = serial.json == parallel.json &&
-                              serial.json == batched.json;
+        const bool bitExact = serial.json == parallel.json;
         allExact = allExact && bitExact;
         const double speedup =
             parallel.wall > 0.0 ? serial.wall / parallel.wall : 0.0;
-        const double batchedSpeedup =
-            batched.wall > 0.0 ? serial.wall / batched.wall : 0.0;
         // Aggregate fleet serving rate: total tenant requests the
-        // batched path retires per wall-clock second.
-        const double reqPerSec = batched.wall > 0.0
-            ? static_cast<double>(batched.requests) / batched.wall
+        // parallel path retires per wall-clock second.
+        const double reqPerSec = parallel.wall > 0.0
+            ? static_cast<double>(parallel.requests) / parallel.wall
             : 0.0;
 
         tab.addRow({std::to_string(tenants),
-                    std::to_string(batched.requests),
+                    std::to_string(parallel.requests),
                     cell(serial.wall, 2), cell(parallel.wall, 2),
-                    cell(batched.wall, 2), cell(speedup, 2),
-                    cell(batchedSpeedup, 2), cell(reqPerSec, 0),
+                    cell(speedup, 2), cell(reqPerSec, 0),
                     bitExact ? "YES" : "NO (BUG)"});
 
         const std::string prefix = "t" + std::to_string(tenants) + "_";
         json.add(prefix + "requests",
-                 static_cast<double>(batched.requests));
+                 static_cast<double>(parallel.requests));
         json.add(prefix + "serial_wall_seconds", serial.wall);
         json.add(prefix + "parallel_wall_seconds", parallel.wall);
-        json.add(prefix + "batched_wall_seconds", batched.wall);
         json.add(prefix + "speedup", speedup);
-        json.add(prefix + "batched_speedup", batchedSpeedup);
         json.add(prefix + "fleet_requests_per_second", reqPerSec);
         json.add(prefix + "serial_requests_per_second",
                  serial.wall > 0.0
@@ -169,15 +149,14 @@ main()
         json.add(prefix + "bit_exact", bitExact ? 1.0 : 0.0);
     }
     tab.print(std::cout);
-    std::printf("\nfleet results bit-exact across serving paths and "
-                "thread counts: %s\n",
+    std::printf("\nfleet results bit-exact across thread counts: %s\n",
                 allExact ? "YES" : "NO (BUG)");
 
     json.add("bit_exact", allExact ? 1.0 : 0.0);
     if (json.writeTo("BENCH_fleet.json"))
         std::printf("wrote BENCH_fleet.json\n");
 
-    // Divergence between the serving paths (or across thread counts)
+    // Divergence between the two paths (thread-count nondeterminism)
     // is a correctness bug, not a perf miss.
     return allExact ? 0 : 1;
 }

@@ -57,9 +57,7 @@ class DenseLayer
      * via the same zero-seeded sequential-order accumulate (so a later
      * elementwise activation sweep over @p out reproduces inferRow()
      * bit-for-bit). Writes into caller storage and touches no member
-     * scratch — this is what lets the fleet's cross-tenant decision
-     * batches gather many networks' rows into one group matrix and
-     * activate them in a single pass (see ml::inferRowBatch).
+     * scratch; inferRow() is this plus its activation sweep.
      *
      * @param in  inSize() floats.
      * @param out outSize() floats (may not alias @p in).

@@ -177,47 +177,4 @@ Network::outputSize() const
     return layers_.back().outSize();
 }
 
-std::string
-Network::topologyKey() const
-{
-    std::string key = std::to_string(inputSize_);
-    for (const auto &l : layers_) {
-        key += '|';
-        key += std::to_string(l.outSize());
-        key += static_cast<char>('a' + static_cast<int>(l.activation()));
-    }
-    return key;
-}
-
-const Matrix &
-inferRowBatch(Network *const *nets, const float *const *ins, std::size_t n,
-              Matrix &scratchA, Matrix &scratchB)
-{
-    assert(n > 0);
-    const std::size_t numLayers = nets[0]->layers().size();
-#ifndef NDEBUG
-    for (std::size_t r = 1; r < n; r++)
-        assert(nets[r]->topologyKey() == nets[0]->topologyKey() &&
-               "inferRowBatch: mixed topologies in one group");
-#endif
-    Matrix *src = &scratchA;
-    Matrix *dst = &scratchB;
-    for (std::size_t li = 0; li < numLayers; li++) {
-        const std::size_t width = nets[0]->layers()[li].outSize();
-        dst->resize(n, width);
-        for (std::size_t r = 0; r < n; r++) {
-            const float *in = li == 0 ? ins[r] : src->row(r);
-            nets[r]->layers()[li].inferRowPreAct(in, dst->row(r));
-        }
-        // One elementwise sweep over the whole group: per element the
-        // same function application inferRow performs per row, so the
-        // batch stays bit-identical to the serial kernel. In-place is
-        // fine (activate may alias).
-        activate(nets[0]->layers()[li].activation(), dst->data(),
-                 dst->data(), n * width);
-        std::swap(src, dst);
-    }
-    return *src;
-}
-
 } // namespace sibyl::ml

@@ -17,7 +17,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -64,31 +63,6 @@ struct AgentConfig
      *  cadence). Smaller values train more often — useful on the
      *  scaled-down traces this repository replays. */
     std::uint32_t trainEvery = 0;
-
-    /**
-     * Decouple training from serving (neural agents): at each training
-     * tick the agent *stages* a round — pre-sampling the minibatch
-     * indices with the decision-path RNG (the same draws the
-     * synchronous path makes), snapshotting the sampled transitions,
-     * and freezing a private copy of the inference network as the
-     * Bellman-target net — then executes it on the shadow training
-     * network via the injected executor (setTrainingExecutor) while
-     * serving continues. The round *commits* (join + stats fold) at
-     * the next deterministic handoff point: the following training
-     * tick, any weight-sync tick (always before the training network
-     * is published to the inference network), finishTraining(), or
-     * destruction. Decisions read only the inference network, which
-     * changes only at sync ticks after every staged round has
-     * committed — so results are bit-identical to synchronous
-     * training at any thread count, with no executor at all (rounds
-     * then run inline at their commit points), and to PR 7 serving.
-     * Incompatible with prioritizedReplay (priority updates between
-     * batches would change the pre-sampled draws) and VDBE exploration
-     * (its epsilon consumes training-loss feedback at the tick);
-     * agents reject those combinations at construction. Ignored by the
-     * tabular agent, which learns per-observation.
-     */
-    bool asyncTraining = false;
 
     /** Hidden topology (paper: 20 and 30 swish neurons). */
     std::vector<std::size_t> hidden = {20, 30};
@@ -189,55 +163,11 @@ hashObservation(const ml::Vector &v)
  * byte-identical share a unique row. Flat linear-probe map sized 2x
  * the batch; hash hits are verified by comparing the vectors, so a
  * collision can only fail to fold, never mis-fold. Shared by the
- * DQN and C51 batched trainers. @p stateOf maps a sampled row number
- * to its observation (the live replay ring for synchronous rounds,
- * the staged snapshot for asynchronous ones — identical bytes, so
- * identical folds). Returns the unique-row count; rowToUnique[r] maps
- * each sampled row to its unique row, and uniqueIdx lists the sampled
- * row number each unique row came from.
+ * DQN and C51 batched trainers. @p indices names the sampled replay
+ * entries. Returns the unique-row count; rowToUnique[r] maps each
+ * sampled row to its unique row, and uniqueIdx lists the replay
+ * index each unique row came from.
  */
-template <typename StateOf>
-inline std::size_t
-buildStateFoldMapRows(StateOf &&stateOf, std::size_t batch,
-                      std::vector<std::uint64_t> &foldKeys,
-                      std::vector<std::uint32_t> &foldVals,
-                      std::vector<std::uint32_t> &rowToUnique,
-                      std::vector<std::size_t> &uniqueIdx)
-{
-    std::size_t cap = 16;
-    while (cap < batch * 2)
-        cap <<= 1;
-    foldKeys.assign(cap, 0);
-    foldVals.resize(cap);
-    rowToUnique.resize(batch);
-    uniqueIdx.clear();
-    for (std::size_t r = 0; r < batch; r++) {
-        const ml::Vector &st = stateOf(r);
-        std::uint64_t h = hashObservation(st);
-        h += h == 0; // 0 is the empty-slot sentinel
-        std::size_t slot = h & (cap - 1);
-        std::uint32_t ui = 0xFFFFFFFFu;
-        while (foldKeys[slot] != 0) {
-            if (foldKeys[slot] == h && stateOf(uniqueIdx[foldVals[slot]]) == st) {
-                ui = foldVals[slot];
-                break;
-            }
-            slot = (slot + 1) & (cap - 1);
-        }
-        if (ui == 0xFFFFFFFFu) {
-            ui = static_cast<std::uint32_t>(uniqueIdx.size());
-            uniqueIdx.push_back(r);
-            foldKeys[slot] = h;
-            foldVals[slot] = ui;
-        }
-        rowToUnique[r] = ui;
-    }
-    return uniqueIdx.size();
-}
-
-/** Replay-ring front end of buildStateFoldMapRows(): folds over the
- *  live buffer entries named by @p indices, and remaps uniqueIdx to
- *  backing buffer indices (the historical contract of this helper). */
 inline std::size_t
 buildStateFoldMap(const ReplayBuffer &buffer,
                   const std::vector<std::size_t> &indices,
@@ -246,14 +176,37 @@ buildStateFoldMap(const ReplayBuffer &buffer,
                   std::vector<std::uint32_t> &rowToUnique,
                   std::vector<std::size_t> &uniqueIdx)
 {
-    const std::size_t uRows = buildStateFoldMapRows(
-        [&](std::size_t r) -> const ml::Vector & {
-            return buffer[indices[r]].state;
-        },
-        indices.size(), foldKeys, foldVals, rowToUnique, uniqueIdx);
-    for (auto &ui : uniqueIdx)
-        ui = indices[ui];
-    return uRows;
+    const std::size_t batch = indices.size();
+    std::size_t cap = 16;
+    while (cap < batch * 2)
+        cap <<= 1;
+    foldKeys.assign(cap, 0);
+    foldVals.resize(cap);
+    rowToUnique.resize(batch);
+    uniqueIdx.clear();
+    for (std::size_t r = 0; r < batch; r++) {
+        const ml::Vector &st = buffer[indices[r]].state;
+        std::uint64_t h = hashObservation(st);
+        h += h == 0; // 0 is the empty-slot sentinel
+        std::size_t slot = h & (cap - 1);
+        std::uint32_t ui = 0xFFFFFFFFu;
+        while (foldKeys[slot] != 0) {
+            if (foldKeys[slot] == h &&
+                buffer[uniqueIdx[foldVals[slot]]].state == st) {
+                ui = foldVals[slot];
+                break;
+            }
+            slot = (slot + 1) & (cap - 1);
+        }
+        if (ui == 0xFFFFFFFFu) {
+            ui = static_cast<std::uint32_t>(uniqueIdx.size());
+            uniqueIdx.push_back(indices[r]);
+            foldKeys[slot] = h;
+            foldVals[slot] = ui;
+        }
+        rowToUnique[r] = ui;
+    }
+    return uniqueIdx.size();
 }
 
 /** Training/behaviour statistics for tests and the overhead bench. */
@@ -284,17 +237,16 @@ class Agent
     virtual std::uint32_t selectAction(const ml::Vector &state) = 0;
 
     /**
-     * Phase 1 of a batched decision. Performs every RNG draw and
+     * Phase 1 of a two-phase decision. Performs every RNG draw and
      * bookkeeping step selectAction() would (in the same order), and
      * returns true when the action was fully decided without a greedy
      * network evaluation (exploration fired, or the agent family has
-     * no batchable network). Returns false when the caller must
-     * evaluate batchNetwork() on @p state — alone via inferRow, or
-     * gathered with other agents' rows via ml::inferRowBatch — and
-     * finish with selectActionFromRow(). selectAction() ==
-     * selectActionBegin() + inferRow + selectActionFromRow() by
-     * construction, so batching can never perturb a decision. The
-     * default covers non-batchable agents by resolving inline.
+     * no separable network). Returns false when the caller must
+     * evaluate batchNetwork() on @p state via inferRow and finish with
+     * selectActionFromRow(). selectAction() == selectActionBegin() +
+     * inferRow + selectActionFromRow() by construction, so a caller
+     * that times the phases apart can never perturb a decision. The
+     * default covers tabular agents by resolving inline.
      */
     virtual bool
     selectActionBegin(const ml::Vector &state, std::uint32_t &action)
@@ -315,7 +267,7 @@ class Agent
 
     /** The network whose output row selectActionFromRow() consumes
      *  (the frozen inference net), or nullptr for agent families with
-     *  no batchable network (tabular). */
+     *  no separable network (tabular). */
     virtual ml::Network *batchNetwork() { return nullptr; }
 
     /** Greedy action (no exploration) — used by evaluation probes. */
@@ -349,22 +301,6 @@ class Agent
 
     /** Force one training round (for tests); returns the mean loss. */
     virtual double trainRound() = 0;
-
-    /** Executor for AgentConfig::asyncTraining rounds: invoked with a
-     *  self-contained job to run on some other thread (e.g. a
-     *  ThreadPool::submit wrapper). */
-    using TrainingExecutor = std::function<void(std::function<void()>)>;
-
-    /** Inject the executor asynchronous training rounds run on. With
-     *  none injected, staged rounds execute inline at their commit
-     *  points — the single-threaded oracle. No-op for synchronous
-     *  agents (the default). */
-    virtual void setTrainingExecutor(TrainingExecutor exec) { (void)exec; }
-
-    /** Commit any staged asynchronous training round (join + stats
-     *  fold). Call before reading final stats, checkpointing, or
-     *  comparing weights; no-op for synchronous agents. */
-    virtual void finishTraining() {}
 
     /** Behaviour counters. */
     virtual const AgentStats &stats() const = 0;

@@ -1,8 +1,6 @@
 #include "rl/c51_agent.hh"
 
 #include <algorithm>
-#include <cassert>
-#include <stdexcept>
 
 #include "ml/activations.hh"
 #include "ml/loss.hh"
@@ -17,17 +15,6 @@ C51Agent::C51Agent(const C51Config &cfg)
       rng_(cfg.seed, 0xA6E47),
       buffer_(cfg.bufferCapacity, cfg.dedupBuffer)
 {
-    if (cfg_.asyncTraining && cfg_.prioritizedReplay)
-        throw std::invalid_argument(
-            "C51Agent: asyncTraining is incompatible with "
-            "prioritizedReplay (priority updates between batches would "
-            "change the pre-sampled draws)");
-    if (cfg_.asyncTraining &&
-        cfg_.exploration.kind == ExplorationKind::Vdbe)
-        throw std::invalid_argument(
-            "C51Agent: asyncTraining is incompatible with VDBE "
-            "exploration (its epsilon consumes training-loss feedback "
-            "at the tick)");
     std::vector<ml::LayerSpec> layers;
     for (auto h : cfg_.hidden)
         layers.push_back({h, ml::Activation::Swish});
@@ -46,15 +33,6 @@ C51Agent::C51Agent(const C51Config &cfg)
         optimizer_ = std::make_unique<ml::Adam>(cfg_.learningRate);
     else
         optimizer_ = std::make_unique<ml::Sgd>(cfg_.learningRate);
-}
-
-C51Agent::~C51Agent()
-{
-    // A dispatched round references this agent's training-side state;
-    // join it before members destruct (wait, not get: a throwing round
-    // must not escalate to std::terminate from a destructor).
-    if (roundStaged_ && stagedFuture_.valid())
-        stagedFuture_.wait();
 }
 
 void
@@ -215,40 +193,20 @@ C51Agent::afterObserve()
 
     // Train once the buffer has filled, then at every cadence boundary
     // (Algorithm 1, line 16; the paper's cadence is one buffer fill).
-    // Asynchronous mode stages the round here (after committing its
-    // predecessor) and lets it execute off-thread; both the staging
-    // and the commit happen at these same deterministic tick counts,
-    // so where the round actually runs can never change a result.
-    // Without an executor there is nothing to overlap with, so the
-    // round just runs synchronously — same draws, same weights, none
-    // of the snapshot/recompute overhead staging pays for thread
-    // safety.
     std::uint64_t cadence =
         cfg_.trainEvery ? cfg_.trainEvery : cfg_.bufferCapacity;
-    if (buffer_.full() && observations_ % cadence == 0) {
-        if (cfg_.asyncTraining && trainExec_) {
-            commitStagedRound();
-            stageRound();
-        } else {
-            trainRound();
-        }
-    }
+    if (buffer_.full() && observations_ % cadence == 0)
+        trainRound();
     // Copy training -> inference weights every targetSyncEvery requests
-    // (§6.2.2: every 1000 requests). Every staged round commits first:
-    // the published weights always include all training staged so far,
-    // exactly as in synchronous mode.
-    if (observations_ % cfg_.targetSyncEvery == 0) {
-        if (cfg_.asyncTraining)
-            commitStagedRound();
-        if (stats_.trainingRounds > 0)
-            syncWeights();
-    }
+    // (§6.2.2: every 1000 requests).
+    if (observations_ % cfg_.targetSyncEvery == 0 &&
+        stats_.trainingRounds > 0)
+        syncWeights();
 }
 
 double
 C51Agent::trainRound()
 {
-    commitStagedRound(); // tests may force a round mid-flight
     double loss = 0.0;
     for (std::uint32_t b = 0; b < cfg_.batchesPerTraining; b++)
         loss += trainBatch();
@@ -486,160 +444,6 @@ C51Agent::trainBatchPerSample(const std::vector<std::size_t> &indices)
     }
     optimizer_->step(*trainingNet_, indices.size());
     return totalLoss / static_cast<double>(indices.size());
-}
-
-void
-C51Agent::setTrainingExecutor(TrainingExecutor exec)
-{
-    commitStagedRound(); // never leave a round on a retiring executor
-    trainExec_ = std::move(exec);
-}
-
-void
-C51Agent::finishTraining()
-{
-    commitStagedRound();
-}
-
-void
-C51Agent::stageRound()
-{
-    assert(!roundStaged_);
-    // Pre-sample every batch of the round with the decision-path RNG —
-    // the exact draws the synchronous trainRound() makes at this tick
-    // (the batched trainer itself draws nothing) — so the serving RNG
-    // stream is independent of where the round executes.
-    stagedBatches_.resize(cfg_.batchesPerTraining);
-    std::size_t total = 0;
-    for (auto &b : stagedBatches_) {
-        b = buffer_.sampleIndices(cfg_.batchSize, rng_);
-        total += b.size();
-    }
-    // Snapshot the sampled transitions: the ring keeps filling while
-    // the round is in flight, so the round must read frozen copies.
-    // Element-wise assigns reuse each slot's capacity across rounds.
-    if (stagedExp_.size() < total)
-        stagedExp_.resize(total);
-    std::size_t pos = 0;
-    for (const auto &b : stagedBatches_) {
-        for (const std::size_t idx : b) {
-            const Experience &e = buffer_[idx];
-            Experience &s = stagedExp_[pos++];
-            s.state.assign(e.state.begin(), e.state.end());
-            s.action = e.action;
-            s.reward = e.reward;
-            s.nextState.assign(e.nextState.begin(), e.nextState.end());
-        }
-    }
-    // Freeze the Bellman-target weights. The inference network cannot
-    // change before this round commits (sync ticks commit first), so
-    // the private copy equals what the synchronous round would read.
-    if (!asyncTargetNet_)
-        asyncTargetNet_ = std::make_unique<ml::Network>(*inferenceNet_);
-    else
-        asyncTargetNet_->copyWeightsFrom(*inferenceNet_);
-
-    roundStaged_ = true;
-    if (trainExec_) {
-        auto task = std::make_shared<std::packaged_task<void()>>(
-            [this] { runStagedRound(); });
-        stagedFuture_ = task->get_future();
-        trainExec_([task] { (*task)(); });
-    } else {
-        stagedFuture_ = std::future<void>(); // run inline at commit
-    }
-}
-
-void
-C51Agent::commitStagedRound()
-{
-    if (!roundStaged_)
-        return;
-    if (stagedFuture_.valid())
-        stagedFuture_.get();
-    else
-        runStagedRound();
-    roundStaged_ = false;
-    // Fold exactly as trainRound() does, in the same order.
-    stats_.trainingRounds++;
-    stats_.gradientSteps += stagedGradSteps_;
-    const double prev = stats_.lastLoss;
-    stats_.lastLoss = stagedLoss_ / std::max(1u, cfg_.batchesPerTraining);
-    explore_.observeValueDelta(stats_.lastLoss - prev);
-}
-
-void
-C51Agent::runStagedRound()
-{
-    double loss = 0.0;
-    std::uint64_t steps = 0;
-    std::size_t base = 0;
-    for (const auto &b : stagedBatches_) {
-        if (!b.empty()) {
-            loss += trainStagedBatch(base, b.size());
-            steps += b.size();
-        }
-        base += b.size();
-    }
-    stagedLoss_ = loss;
-    stagedGradSteps_ = steps;
-}
-
-double
-C51Agent::trainStagedBatch(std::size_t base, std::size_t batch)
-{
-    const bool fold = cfg_.foldDuplicateStates;
-    std::size_t uRows = batch;
-    if (fold) {
-        uRows = buildStateFoldMapRows(
-            [&](std::size_t r) -> const ml::Vector & {
-                return stagedExp_[base + r].state;
-            },
-            batch, foldKeys_, foldVals_, rowToUnique_, uniqueIdx_);
-    }
-
-    stateBatch_.resize(uRows, cfg_.stateDim);
-    for (std::size_t r = 0; r < uRows; r++) {
-        const Experience &e = stagedExp_[base + (fold ? uniqueIdx_[r] : r)];
-        std::copy(e.state.begin(), e.state.end(), stateBatch_.row(r));
-    }
-    nextBatch_.resize(batch, cfg_.stateDim);
-    for (std::size_t r = 0; r < batch; r++) {
-        const Experience &e = stagedExp_[base + r];
-        std::copy(e.nextState.begin(), e.nextState.end(), nextBatch_.row(r));
-    }
-
-    // Bellman targets recomputed for every row from the frozen private
-    // target net — the cache-off shape of trainBatchBatched. Because
-    // the batched row kernels make each row independent of batch
-    // composition and asyncTargetNet_ carries the same weights the
-    // synchronous round's cache mix was filled under, every projected
-    // target is bit-identical to the synchronous path's.
-    ml::Vector dists, target, logits, gradLogits;
-    const ml::Matrix &nextOut = asyncTargetNet_->infer(nextBatch_);
-
-    const ml::Matrix &out = trainingNet_->forward(stateBatch_);
-    gradOutM_.resize(uRows, out.cols());
-    gradOutM_.fill(0.0f);
-
-    double totalLoss = 0.0;
-    for (std::size_t r = 0; r < batch; r++) {
-        const Experience &e = stagedExp_[base + r];
-        const std::size_t ui = fold ? rowToUnique_[r] : r;
-        projectTargetFromRow(nextOut.row(r), e.reward, dists, target);
-
-        logits.assign(out.row(ui) + e.action * cfg_.atoms,
-                      out.row(ui) + (e.action + 1) * cfg_.atoms);
-        totalLoss += ml::softmaxCrossEntropy(logits, target, gradLogits);
-
-        float *grow = gradOutM_.row(ui);
-        for (std::size_t k = 0; k < gradLogits.size(); k++)
-            grow[e.action * cfg_.atoms + k] += gradLogits[k];
-    }
-
-    trainingNet_->backward(gradOutM_);
-    optimizer_->step(*trainingNet_, batch);
-    return totalLoss / static_cast<double>(batch);
 }
 
 void

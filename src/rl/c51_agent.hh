@@ -13,7 +13,6 @@
 
 #pragma once
 
-#include <future>
 #include <memory>
 
 #include "common/rng.hh"
@@ -41,16 +40,15 @@ class C51Agent final : public Agent
 {
   public:
     explicit C51Agent(const C51Config &cfg);
-    ~C51Agent() override;
 
     std::string name() const override { return "C51"; }
 
     /** Epsilon-greedy action for @p state using the inference network. */
     std::uint32_t selectAction(const ml::Vector &state) override;
 
-    /** Batched-decision phases (see Agent): Begin makes the RNG draws,
+    /** Two-phase decision (see Agent): Begin makes the RNG draws,
      *  FromRow decodes the greedy action from an inference-network
-     *  output row produced elsewhere (inferRow or ml::inferRowBatch). */
+     *  output row the caller produced with inferRow. */
     bool selectActionBegin(const ml::Vector &state,
                            std::uint32_t &action) override;
     std::uint32_t selectActionFromRow(const float *row) override;
@@ -77,13 +75,8 @@ class C51Agent final : public Agent
                            float reward,
                            const ml::Vector &nextState) override;
 
-    /** Force one training round (for tests). Commits any staged
-     *  asynchronous round first. */
+    /** Force one training round (for tests). */
     double trainRound() override;
-
-    /** Async-training hooks (see Agent / AgentConfig::asyncTraining). */
-    void setTrainingExecutor(TrainingExecutor exec) override;
-    void finishTraining() override;
 
     /** Force a weight sync (for tests). */
     void syncWeights();
@@ -148,31 +141,6 @@ class C51Agent final : public Agent
     /** Legacy per-sample path (baseline for the perf_train bench). */
     double trainBatchPerSample(const std::vector<std::size_t> &indices);
 
-    /** Stage an asynchronous round at a training tick: pre-sample the
-     *  minibatch indices with the decision-path RNG (the exact draws
-     *  the synchronous round would make), snapshot the sampled
-     *  transitions, freeze a private copy of the inference network as
-     *  the Bellman-target net, and dispatch via the executor (or defer
-     *  to the commit point when none is injected). */
-    void stageRound();
-
-    /** Commit the staged round: join (or run inline), then fold loss
-     *  and counters into stats_ exactly as trainRound() does. Runs at
-     *  the next training tick, any sync tick (before weights publish),
-     *  finishTraining(), and destruction. */
-    void commitStagedRound();
-
-    /** Round body; may execute on the executor thread. Touches only
-     *  training-side state (trainingNet_, optimizer_, batch scratch,
-     *  the staged snapshot) — never the serving side. */
-    void runStagedRound();
-
-    /** One staged gradient step over snapshot rows [base, base+batch):
-     *  the trainBatchBatched math with targets recomputed from the
-     *  frozen asyncTargetNet_ (the cache-off shape, bit-identical per
-     *  row to the synchronous cache mix). */
-    double trainStagedBatch(std::size_t base, std::size_t batch);
-
     C51Config cfg_;
     CategoricalSupport support_;
     ExplorationSchedule explore_;
@@ -210,19 +178,6 @@ class C51Agent final : public Agent
     std::vector<std::uint32_t> foldVals_;
     std::vector<std::uint32_t> rowToUnique_;
     std::vector<std::size_t> uniqueIdx_;
-
-    // Asynchronous-round state (cfg.asyncTraining). Staged on the
-    // serving thread, executed wherever the executor runs the job,
-    // joined back on the serving thread at the commit points — so no
-    // field here is ever touched from two threads at once.
-    TrainingExecutor trainExec_;
-    bool roundStaged_ = false;
-    std::future<void> stagedFuture_;
-    std::vector<std::vector<std::size_t>> stagedBatches_;
-    std::vector<Experience> stagedExp_; // snapshot, reused across rounds
-    std::unique_ptr<ml::Network> asyncTargetNet_;
-    double stagedLoss_ = 0.0;
-    std::uint64_t stagedGradSteps_ = 0;
 };
 
 } // namespace sibyl::rl

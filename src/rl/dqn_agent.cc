@@ -1,9 +1,7 @@
 #include "rl/dqn_agent.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <stdexcept>
 
 namespace sibyl::rl
 {
@@ -14,17 +12,6 @@ DqnAgent::DqnAgent(const AgentConfig &cfg)
       rng_(cfg.seed, 0xD62),
       buffer_(cfg.bufferCapacity, cfg.dedupBuffer)
 {
-    if (cfg_.asyncTraining && cfg_.prioritizedReplay)
-        throw std::invalid_argument(
-            "DqnAgent: asyncTraining is incompatible with "
-            "prioritizedReplay (priority updates between batches would "
-            "change the pre-sampled draws)");
-    if (cfg_.asyncTraining &&
-        cfg_.exploration.kind == ExplorationKind::Vdbe)
-        throw std::invalid_argument(
-            "DqnAgent: asyncTraining is incompatible with VDBE "
-            "exploration (its epsilon consumes training-loss feedback "
-            "at the tick)");
     std::vector<ml::LayerSpec> layers;
     for (auto h : cfg_.hidden)
         layers.push_back({h, ml::Activation::Swish});
@@ -43,14 +30,6 @@ DqnAgent::DqnAgent(const AgentConfig &cfg)
         optimizer_ = std::make_unique<ml::Adam>(cfg_.learningRate);
     else
         optimizer_ = std::make_unique<ml::Sgd>(cfg_.learningRate);
-}
-
-DqnAgent::~DqnAgent()
-{
-    // Join a dispatched round before members destruct (wait, not get:
-    // a throwing round must not escalate to std::terminate here).
-    if (roundStaged_ && stagedFuture_.valid())
-        stagedFuture_.wait();
 }
 
 void
@@ -177,35 +156,18 @@ void
 DqnAgent::afterObserve()
 {
     observations_++;
-    // Asynchronous mode stages the round here (after committing its
-    // predecessor) and commits before any weight sync — the same
-    // deterministic tick counts as the synchronous path, so where the
-    // round executes can never change a result (see C51Agent).
     const std::uint64_t cadence =
         cfg_.trainEvery ? cfg_.trainEvery : cfg_.bufferCapacity;
-    if (buffer_.full() && observations_ % cadence == 0) {
-        // No executor -> nothing to overlap with: run synchronously
-        // and skip the snapshot/recompute overhead staging pays for
-        // thread safety (see C51Agent).
-        if (cfg_.asyncTraining && trainExec_) {
-            commitStagedRound();
-            stageRound();
-        } else {
-            trainRound();
-        }
-    }
-    if (observations_ % cfg_.targetSyncEvery == 0) {
-        if (cfg_.asyncTraining)
-            commitStagedRound();
-        if (stats_.trainingRounds > 0)
-            syncWeights();
-    }
+    if (buffer_.full() && observations_ % cadence == 0)
+        trainRound();
+    if (observations_ % cfg_.targetSyncEvery == 0 &&
+        stats_.trainingRounds > 0)
+        syncWeights();
 }
 
 double
 DqnAgent::trainRound()
 {
-    commitStagedRound(); // tests may force a round mid-flight
     double loss = 0.0;
     for (std::uint32_t b = 0; b < cfg_.batchesPerTraining; b++)
         loss += trainBatch();
@@ -419,169 +381,6 @@ DqnAgent::trainBatchPerSample(const std::vector<std::size_t> &indices)
     }
     optimizer_->step(*trainingNet_, indices.size());
     return totalLoss / static_cast<double>(indices.size());
-}
-
-void
-DqnAgent::setTrainingExecutor(TrainingExecutor exec)
-{
-    commitStagedRound(); // never leave a round on a retiring executor
-    trainExec_ = std::move(exec);
-}
-
-void
-DqnAgent::finishTraining()
-{
-    commitStagedRound();
-}
-
-void
-DqnAgent::stageRound()
-{
-    assert(!roundStaged_);
-    // Pre-sample with the decision-path RNG: the exact draws the
-    // synchronous trainRound() makes at this tick.
-    stagedBatches_.resize(cfg_.batchesPerTraining);
-    std::size_t total = 0;
-    for (auto &b : stagedBatches_) {
-        b = buffer_.sampleIndices(cfg_.batchSize, rng_);
-        total += b.size();
-    }
-    // Snapshot the sampled transitions; the ring keeps filling while
-    // the round is in flight.
-    if (stagedExp_.size() < total)
-        stagedExp_.resize(total);
-    std::size_t pos = 0;
-    for (const auto &b : stagedBatches_) {
-        for (const std::size_t idx : b) {
-            const Experience &e = buffer_[idx];
-            Experience &s = stagedExp_[pos++];
-            s.state.assign(e.state.begin(), e.state.end());
-            s.action = e.action;
-            s.reward = e.reward;
-            s.nextState.assign(e.nextState.begin(), e.nextState.end());
-        }
-    }
-    // Freeze the Bellman-target weights (the inference network cannot
-    // change before this round commits — sync ticks commit first).
-    if (!asyncTargetNet_)
-        asyncTargetNet_ = std::make_unique<ml::Network>(*inferenceNet_);
-    else
-        asyncTargetNet_->copyWeightsFrom(*inferenceNet_);
-
-    roundStaged_ = true;
-    if (trainExec_) {
-        auto task = std::make_shared<std::packaged_task<void()>>(
-            [this] { runStagedRound(); });
-        stagedFuture_ = task->get_future();
-        trainExec_([task] { (*task)(); });
-    } else {
-        stagedFuture_ = std::future<void>(); // run inline at commit
-    }
-}
-
-void
-DqnAgent::commitStagedRound()
-{
-    if (!roundStaged_)
-        return;
-    if (stagedFuture_.valid())
-        stagedFuture_.get();
-    else
-        runStagedRound();
-    roundStaged_ = false;
-    // Fold exactly as trainRound() does, in the same order.
-    stats_.trainingRounds++;
-    stats_.gradientSteps += stagedGradSteps_;
-    const double prev = stats_.lastLoss;
-    stats_.lastLoss = stagedLoss_ / std::max(1u, cfg_.batchesPerTraining);
-    explore_.observeValueDelta(std::sqrt(stats_.lastLoss) -
-                               std::sqrt(std::max(0.0, prev)));
-}
-
-void
-DqnAgent::runStagedRound()
-{
-    double loss = 0.0;
-    std::uint64_t steps = 0;
-    std::size_t base = 0;
-    for (const auto &b : stagedBatches_) {
-        if (!b.empty()) {
-            loss += trainStagedBatch(base, b.size());
-            steps += b.size();
-        }
-        base += b.size();
-    }
-    stagedLoss_ = loss;
-    stagedGradSteps_ = steps;
-}
-
-double
-DqnAgent::trainStagedBatch(std::size_t base, std::size_t batch)
-{
-    const bool fold = cfg_.foldDuplicateStates;
-    std::size_t uRows = batch;
-    if (fold) {
-        uRows = buildStateFoldMapRows(
-            [&](std::size_t r) -> const ml::Vector & {
-                return stagedExp_[base + r].state;
-            },
-            batch, foldKeys_, foldVals_, rowToUnique_, uniqueIdx_);
-    }
-
-    stateBatch_.resize(uRows, cfg_.stateDim);
-    for (std::size_t r = 0; r < uRows; r++) {
-        const Experience &e = stagedExp_[base + (fold ? uniqueIdx_[r] : r)];
-        std::copy(e.state.begin(), e.state.end(), stateBatch_.row(r));
-    }
-    nextBatch_.resize(batch, cfg_.stateDim);
-    for (std::size_t r = 0; r < batch; r++) {
-        const Experience &e = stagedExp_[base + r];
-        std::copy(e.nextState.begin(), e.nextState.end(), nextBatch_.row(r));
-    }
-
-    // TD targets recomputed for every row from the frozen private
-    // target net — the cache-off shape of trainBatchBatched, bit-
-    // identical per row to the synchronous cache mix (batched rows are
-    // composition-independent, and asyncTargetNet_ carries the same
-    // weights the cache was filled under). Double DQN keeps selecting
-    // with the live training network, whose weights at this point in
-    // the committed round sequence equal the synchronous path's.
-    nextValue_.resize(batch);
-    if (cfg_.doubleDqn) {
-        const ml::Matrix &sel = trainingNet_->infer(nextBatch_);
-        const ml::Matrix &eval = asyncTargetNet_->infer(nextBatch_);
-        for (std::size_t r = 0; r < batch; r++) {
-            const float *srow = sel.row(r);
-            const auto bestA = static_cast<std::size_t>(
-                std::max_element(srow, srow + sel.cols()) - srow);
-            nextValue_[r] = eval(r, bestA);
-        }
-    } else {
-        const ml::Matrix &nextQ = asyncTargetNet_->infer(nextBatch_);
-        for (std::size_t r = 0; r < batch; r++) {
-            const float *qrow = nextQ.row(r);
-            nextValue_[r] = *std::max_element(qrow, qrow + nextQ.cols());
-        }
-    }
-
-    const ml::Matrix &out = trainingNet_->forward(stateBatch_);
-    gradOutM_.resize(uRows, out.cols());
-    gradOutM_.fill(0.0f);
-
-    double totalLoss = 0.0;
-    for (std::size_t r = 0; r < batch; r++) {
-        const Experience &e = stagedExp_[base + r];
-        const std::size_t ui = fold ? rowToUnique_[r] : r;
-        const float target =
-            e.reward + static_cast<float>(cfg_.gamma) * nextValue_[r];
-        const float diff = out(ui, e.action) - target;
-        totalLoss += 0.5 * static_cast<double>(diff) * diff;
-        gradOutM_(ui, e.action) += diff;
-    }
-
-    trainingNet_->backward(gradOutM_);
-    optimizer_->step(*trainingNet_, batch);
-    return totalLoss / static_cast<double>(batch);
 }
 
 void

@@ -12,7 +12,6 @@
 
 #pragma once
 
-#include <future>
 #include <memory>
 
 #include "common/rng.hh"
@@ -28,15 +27,14 @@ class DqnAgent final : public Agent
 {
   public:
     explicit DqnAgent(const AgentConfig &cfg);
-    ~DqnAgent() override;
 
     std::string name() const override { return "DQN"; }
 
     std::uint32_t selectAction(const ml::Vector &state) override;
 
-    /** Batched-decision phases (see Agent): Begin makes the RNG draws,
+    /** Two-phase decision (see Agent): Begin makes the RNG draws,
      *  FromRow decodes the greedy action from an inference-network
-     *  output row produced elsewhere (inferRow or ml::inferRowBatch). */
+     *  output row the caller produced with inferRow. */
     bool selectActionBegin(const ml::Vector &state,
                            std::uint32_t &action) override;
     std::uint32_t selectActionFromRow(const float *row) override;
@@ -49,10 +47,6 @@ class DqnAgent final : public Agent
                            float reward,
                            const ml::Vector &nextState) override;
     double trainRound() override;
-
-    /** Async-training hooks (see Agent / AgentConfig::asyncTraining). */
-    void setTrainingExecutor(TrainingExecutor exec) override;
-    void finishTraining() override;
 
     const AgentStats &stats() const override { return stats_; }
 
@@ -94,13 +88,6 @@ class DqnAgent final : public Agent
     /** Legacy per-sample path (baseline for the perf_train bench). */
     double trainBatchPerSample(const std::vector<std::size_t> &indices);
 
-    /** Asynchronous-round lifecycle — identical protocol to
-     *  C51Agent (see its declarations for the determinism argument). */
-    void stageRound();
-    void commitStagedRound();
-    void runStagedRound();
-    double trainStagedBatch(std::size_t base, std::size_t batch);
-
     AgentConfig cfg_;
     ExplorationSchedule explore_;
     Pcg32 rng_;
@@ -135,18 +122,6 @@ class DqnAgent final : public Agent
     std::vector<std::uint32_t> foldVals_;
     std::vector<std::uint32_t> rowToUnique_;
     std::vector<std::size_t> uniqueIdx_;
-
-    // Asynchronous-round state (cfg.asyncTraining); staged/committed
-    // on the serving thread, executed wherever the executor runs the
-    // job — never touched from two threads at once.
-    TrainingExecutor trainExec_;
-    bool roundStaged_ = false;
-    std::future<void> stagedFuture_;
-    std::vector<std::vector<std::size_t>> stagedBatches_;
-    std::vector<Experience> stagedExp_; // snapshot, reused across rounds
-    std::unique_ptr<ml::Network> asyncTargetNet_;
-    double stagedLoss_ = 0.0;
-    std::uint64_t stagedGradSteps_ = 0;
 };
 
 } // namespace sibyl::rl

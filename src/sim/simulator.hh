@@ -69,18 +69,18 @@ class RequestStepper
     void step(const trace::Request &req);
 
     /**
-     * Phase-split replay for the fleet's batched decision windows:
+     * Phase-split replay for callers that time the decision's network
+     * evaluation on its own (the benchmark's traced loop):
      * step() == stepBegin + (net ? FromRow(net->inferRow(row)) : action)
      * + stepFinish, by construction.
      *
      * stepBegin computes the arrival gate and runs the policy's
      * decision prologue (selectPlacementBegin). When it returns a
-     * network, the caller evaluates *@p obsRow on it (possibly batched
-     * with other tenants' rows), decodes the action via
-     * policy().selectPlacementFromRow(), and hands the result to
-     * stepFinish together with the arrival it was given. When it
-     * returns nullptr the decision completed inline and @p action is
-     * already set. Exactly one stepFinish must follow each stepBegin
+     * network, the caller evaluates *@p obsRow on it, decodes the
+     * action via policy().selectPlacementFromRow(), and hands the
+     * result to stepFinish together with the arrival it was given.
+     * When it returns nullptr the decision completed inline and
+     * @p action is already set. Exactly one stepFinish must follow each stepBegin
      * before the next stepBegin on this stepper.
      */
     ml::Network *stepBegin(const trace::Request &req, SimTime &arrival,

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "scenario/scenario_spec.hh"
 #include "sim/fleet.hh"
 #include "sim/parallel_runner.hh"
@@ -106,6 +107,67 @@ TEST(TraceMultiplexer, EmptyTenantsAndNullRejection)
                  std::invalid_argument);
 }
 
+/** The pre-heap reference merge: linear head scan, lowest timestamp,
+ *  ties to the lowest tenant id. */
+std::vector<trace::TraceMultiplexer::Entry>
+referenceLinearMerge(const std::vector<const trace::Trace *> &tenants)
+{
+    std::size_t total = 0;
+    for (const trace::Trace *t : tenants)
+        total += t->size();
+    std::vector<trace::TraceMultiplexer::Entry> out;
+    std::vector<std::size_t> cursor(tenants.size(), 0);
+    for (std::size_t filled = 0; filled < total; filled++) {
+        std::size_t best = tenants.size();
+        SimTime bestTime = 0.0;
+        for (std::size_t t = 0; t < tenants.size(); t++) {
+            if (cursor[t] >= tenants[t]->size())
+                continue;
+            SimTime ts = (*tenants[t])[cursor[t]].timestamp;
+            if (best == tenants.size() || ts < bestTime) {
+                best = t;
+                bestTime = ts;
+            }
+        }
+        out.push_back({static_cast<std::uint32_t>(best),
+                       static_cast<std::uint32_t>(cursor[best])});
+        cursor[best]++;
+    }
+    return out;
+}
+
+TEST(TraceMultiplexerHeap, MatchesReferenceMergeAtScale)
+{
+    // ~40 tenants with deliberately colliding timestamps (coarse grid)
+    // and non-monotone streams: the indexed min-heap must reproduce
+    // the linear reference scan slot for slot, including every
+    // tie-to-lower-tenant-id resolution.
+    Pcg32 rng(0x4EA9);
+    std::vector<trace::Trace> traces(41);
+    for (std::size_t t = 0; t < traces.size(); t++) {
+        const std::size_t len = rng.nextBounded(30); // some empty
+        for (std::size_t i = 0; i < len; i++) {
+            trace::Request r;
+            // Grid timestamps force cross-tenant ties; occasional
+            // backward jumps exercise the non-monotone rule.
+            r.timestamp = static_cast<double>(rng.nextBounded(12)) * 5.0;
+            r.page = static_cast<PageId>(t * 1000 + i);
+            traces[t].add(r);
+        }
+    }
+    std::vector<const trace::Trace *> views;
+    for (const auto &t : traces)
+        views.push_back(&t);
+
+    const auto want = referenceLinearMerge(views);
+    const trace::TraceMultiplexer mux(views);
+    ASSERT_EQ(mux.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); i++) {
+        ASSERT_EQ(mux[i].tenant, want[i].tenant) << "slot " << i;
+        ASSERT_EQ(mux[i].index, want[i].index) << "slot " << i;
+    }
+}
+
 // --------------------------- fleet runs ------------------------------
 
 /** The fleet_smoke.json lineup: an RL tenant, two heuristics, and a
@@ -158,41 +220,70 @@ expectTenantMetricsIdentical(const sim::TenantSummary &x,
     EXPECT_EQ(x.metrics.demotions, y.metrics.demotions);
 }
 
+/** Learner tenants that train, sync and (for the guardrail tenant)
+ *  trip inside a 300-request trace: prioritized replay, VDBE
+ *  exploration, and a guardrail with an injected NaN reward. */
+std::vector<sim::FleetTenant>
+learnerTenants()
+{
+    const std::string train =
+        "bufferCapacity=100,trainEvery=50,targetSyncEvery=100";
+    sim::FleetTenant a;
+    a.policy = "Sibyl{per=1," + train + "}";
+    a.workload = "prxy_1";
+    sim::FleetTenant b;
+    b.policy = "Sibyl{explore=vdbe," + train + "}";
+    b.workload = "mds_0";
+    sim::FleetTenant c;
+    c.policy = "Sibyl{guardrail=1,guardrailSnapshotEvery=100,"
+               "guardrailInjectNanAt=150," + train + "}";
+    c.workload = "rsrch_0";
+    sim::FleetTenant d;
+    d.policy = "Sibyl{agent=dqn,per=1," + train + "}";
+    d.workload = "usr_0";
+    return {a, b, c, d};
+}
+
 TEST(Fleet, BitIdenticalAcrossThreadCounts)
 {
     // The acceptance bar: a fleet run with >= 4 tenants is
     // bit-identical between the serial multiplexed oracle and the
-    // tenant-sharded parallel path.
-    const sim::RunSpec spec = fleetSpecOf(smokeTenants(), 300);
-    trace::TraceCache traces;
-    const sim::PolicyResult serial =
-        sim::runFleetExperiment(spec, traces, true, 1);
-    const sim::PolicyResult parallel =
-        sim::runFleetExperiment(spec, traces, true, 8);
+    // tenant-sharded parallel path — for the smoke lineup and for
+    // learner tenants with replay priorities, loss-driven exploration
+    // and guardrail trips.
+    for (const auto &lineup : {smokeTenants(), learnerTenants()}) {
+        SCOPED_TRACE("lineup starting " + lineup[0].policy);
+        const sim::RunSpec spec = fleetSpecOf(lineup, 300);
+        trace::TraceCache traces;
+        const sim::PolicyResult serial =
+            sim::runFleetExperiment(spec, traces, true, 1);
+        const sim::PolicyResult parallel =
+            sim::runFleetExperiment(spec, traces, true, 8);
 
-    EXPECT_EQ(serial.metrics.requests, 4u * 300u);
-    EXPECT_EQ(serial.metrics.requests, parallel.metrics.requests);
-    EXPECT_EQ(serial.metrics.avgLatencyUs, parallel.metrics.avgLatencyUs);
-    EXPECT_EQ(serial.metrics.p50LatencyUs, parallel.metrics.p50LatencyUs);
-    EXPECT_EQ(serial.metrics.p99LatencyUs, parallel.metrics.p99LatencyUs);
-    EXPECT_EQ(serial.metrics.p999LatencyUs,
-              parallel.metrics.p999LatencyUs);
-    EXPECT_EQ(serial.metrics.maxLatencyUs, parallel.metrics.maxLatencyUs);
-    EXPECT_EQ(serial.metrics.iops, parallel.metrics.iops);
-    EXPECT_EQ(serial.metrics.makespanUs, parallel.metrics.makespanUs);
-    EXPECT_EQ(serial.fairnessJain, parallel.fairnessJain);
-    EXPECT_EQ(serial.totalEnergyMj, parallel.totalEnergyMj);
-    ASSERT_EQ(serial.tenants.size(), 4u);
-    ASSERT_EQ(parallel.tenants.size(), 4u);
-    for (std::size_t i = 0; i < serial.tenants.size(); i++) {
-        SCOPED_TRACE("tenant " + std::to_string(i));
-        expectTenantMetricsIdentical(serial.tenants[i],
-                                     parallel.tenants[i]);
+        EXPECT_EQ(serial.metrics.requests, 4u * 300u);
+        EXPECT_EQ(serial.metrics.requests, parallel.metrics.requests);
+        EXPECT_EQ(serial.metrics.avgLatencyUs, parallel.metrics.avgLatencyUs);
+        EXPECT_EQ(serial.metrics.p50LatencyUs, parallel.metrics.p50LatencyUs);
+        EXPECT_EQ(serial.metrics.p99LatencyUs, parallel.metrics.p99LatencyUs);
+        EXPECT_EQ(serial.metrics.p999LatencyUs,
+                  parallel.metrics.p999LatencyUs);
+        EXPECT_EQ(serial.metrics.maxLatencyUs, parallel.metrics.maxLatencyUs);
+        EXPECT_EQ(serial.metrics.iops, parallel.metrics.iops);
+        EXPECT_EQ(serial.metrics.makespanUs, parallel.metrics.makespanUs);
+        EXPECT_EQ(serial.fairnessJain, parallel.fairnessJain);
+        EXPECT_EQ(serial.totalEnergyMj, parallel.totalEnergyMj);
+        ASSERT_EQ(serial.tenants.size(), 4u);
+        ASSERT_EQ(parallel.tenants.size(), 4u);
+        for (std::size_t i = 0; i < serial.tenants.size(); i++) {
+            SCOPED_TRACE("tenant " + std::to_string(i));
+            expectTenantMetricsIdentical(serial.tenants[i],
+                                         parallel.tenants[i]);
+        }
+        // Tail ordering holds at the aggregate too.
+        EXPECT_LE(serial.metrics.p50LatencyUs, serial.metrics.p99LatencyUs);
+        EXPECT_LE(serial.metrics.p99LatencyUs, serial.metrics.p999LatencyUs);
+        EXPECT_LE(serial.metrics.p999LatencyUs, serial.metrics.maxLatencyUs);
     }
-    // Tail ordering holds at the aggregate too.
-    EXPECT_LE(serial.metrics.p50LatencyUs, serial.metrics.p99LatencyUs);
-    EXPECT_LE(serial.metrics.p99LatencyUs, serial.metrics.p999LatencyUs);
-    EXPECT_LE(serial.metrics.p999LatencyUs, serial.metrics.maxLatencyUs);
 }
 
 TEST(Fleet, ResultsJsonBitExactThroughRunner)
@@ -410,6 +501,18 @@ TEST(FleetScenario, ValidationErrors)
         "name": "x",
         "fleet": [{"policy": "NoSuchPolicy", "workload": "prxy_1"}]})");
     EXPECT_THROW(spec.expand(), std::invalid_argument);
+    // Retired serving knobs fail loudly: the scenario-level block is
+    // an unknown key, and the agent knob an unknown Sibyl parameter.
+    EXPECT_THROW(scenario::parseScenarioJson(R"({
+        "name": "x",
+        "fleet": [{"policy": "CDE", "workload": "prxy_1"}],
+        "fleetServing": {"batched": true}})"),
+                 std::invalid_argument);
+    const auto retired = scenario::parseScenarioJson(R"({
+        "name": "x",
+        "fleet": [{"policy": "Sibyl{asyncTraining=1}",
+                   "workload": "prxy_1"}]})");
+    EXPECT_THROW(retired.expand(), std::invalid_argument);
 }
 
 // ------------------- mix grammar and cache keying --------------------
