@@ -102,6 +102,20 @@ runLineup(const LineupSpec &spec)
     pcfg.numThreads = spec.numThreads;
     sim::ParallelRunner runner(pcfg);
     const auto records = runner.runMatrix(matrix);
+    // A failed run would print as 0.000; fail the bench instead.
+    std::size_t failures = 0;
+    for (const auto &rec : records) {
+        if (!rec.failed())
+            continue;
+        failures++;
+        std::fprintf(stderr, "FAILED %s/%s/%s seed=%llu: %s\n",
+                     rec.spec.policy.c_str(), rec.spec.workload.c_str(),
+                     rec.spec.hssConfig.c_str(),
+                     static_cast<unsigned long long>(rec.spec.seed),
+                     rec.error.c_str());
+    }
+    if (failures)
+        fatal(std::to_string(failures) + " run(s) failed");
 
     // expand() nests config (outer), workload, policy, seed (inner).
     const std::size_t nPolicies = spec.policies.size();

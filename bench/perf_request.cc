@@ -15,14 +15,9 @@
  *  2. selectAction latency (ns) — the agent decision kernel alone, on
  *     a warmed agent.
  *  3. Metadata-op latency (ns) — a mixed recordAccess/map/remap/
- *     lruVictim stream against PageMetaTable (the flat table here;
- *     the legacy map+list when this source is built at the parent
- *     commit, which is how the pre-PR baseline is measured).
+ *     lruVictim stream against hss::PageMetaTable.
  *
- * SIBYL_BENCH_REQUESTS shrinks the trace for CI smoke runs. This file
- * deliberately compiles against the parent commit's library (only the
- * flat-vs-legacy differential section is feature-gated), so
- * parent-vs-PR deltas come from one bench binary definition.
+ * SIBYL_BENCH_REQUESTS shrinks the trace for CI smoke runs.
  */
 
 #include <algorithm>
@@ -110,11 +105,10 @@ selectActionNs(const trace::Trace &t, core::AgentKind kind)
  * the simulator's serve path issues (recency touches dominating, a
  * mapping update and a victim probe mixed in).
  */
-template <typename Table>
 double
 metadataOpNs(std::size_t pages, std::size_t ops)
 {
-    Table meta(2);
+    hss::PageMetaTable meta(2);
     Pcg32 rng(0x9A6E);
     // Pre-map a working set split across both devices.
     for (PageId p = 0; p < pages; p++)
@@ -210,20 +204,9 @@ main()
         2000000, std::max<std::size_t>(len * 16, 200000));
     TextTable md;
     md.header({"table", "metadata-op ns"});
-    const double curNs = metadataOpNs<hss::PageMetaTable>(mdPages, mdOps);
-    md.addRow({"PageMetaTable", fmt(curNs, 1)});
-    json.add("metadata_op_ns", curNs);
-#ifdef SIBYL_HAS_FLAT_METADATA
-    // Differential view, only available once both tables exist: the
-    // legacy map+list oracle measured side by side with the flat
-    // table the request path now runs on.
-    const double legacyNs =
-        metadataOpNs<hss::LegacyPageMetaTable>(mdPages, mdOps);
-    md.addRow({"LegacyPageMetaTable", fmt(legacyNs, 1)});
-    md.addRow({"speedup", fmt(legacyNs / curNs, 2) + "x"});
-    json.add("metadata_op_ns_legacy", legacyNs);
-    json.add("metadata_speedup", legacyNs / curNs);
-#endif
+    const double mdNs = metadataOpNs(mdPages, mdOps);
+    md.addRow({"PageMetaTable", fmt(mdNs, 1)});
+    json.add("metadata_op_ns", mdNs);
     md.print(std::cout);
 
     if (json.writeTo("BENCH_request.json"))

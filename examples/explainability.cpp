@@ -32,12 +32,13 @@ analyze(const char *hssConfig, const std::string &workload)
 
     sim::ExperimentConfig cfg;
     cfg.hssConfig = hssConfig;
-    sim::Experiment experiment(cfg);
     trace::Trace t = trace::makeWorkload(workload);
 
-    explain::InstrumentedSibyl policy(core::SibylConfig(),
-                                      experiment.numDevices());
-    const auto result = experiment.run(t, policy);
+    explain::InstrumentedSibyl policy(
+        core::SibylConfig(),
+        sim::numHssDevices(cfg.hssConfig, cfg.fastCapacityFrac));
+    const auto result = sim::runPolicyExperiment(
+        cfg, t, policy, sim::computeFastOnlyBaseline(cfg, t));
     const auto &log = policy.log();
 
     // 1. Overall preference — the Fig. 17 number.

@@ -69,14 +69,18 @@ main()
 
     sim::ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
-    sim::Experiment experiment(cfg);
+    const sim::RunMetrics fastOnly =
+        sim::computeFastOnlyBaseline(cfg, spliced);
 
-    explain::InstrumentedSibyl sibyl(core::SibylConfig(),
-                                     experiment.numDevices());
-    const auto sibylResult = experiment.run(spliced, sibyl);
+    explain::InstrumentedSibyl sibyl(
+        core::SibylConfig(),
+        sim::numHssDevices(cfg.hssConfig, cfg.fastCapacityFrac));
+    const auto sibylResult =
+        sim::runPolicyExperiment(cfg, spliced, sibyl, fastOnly);
 
     policies::CdePolicy cde;
-    const auto cdeResult = experiment.run(spliced, cde);
+    const auto cdeResult =
+        sim::runPolicyExperiment(cfg, spliced, cde, fastOnly);
 
     std::printf("\nnormalized avg latency:  Sibyl %.3f   CDE %.3f\n",
                 sibylResult.normalizedLatency,

@@ -33,17 +33,24 @@ main()
     sim::ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
     cfg.fastCapacityFrac = 0.10;
-    sim::Experiment experiment(cfg);
+    const std::uint32_t numDevices =
+        sim::numHssDevices(cfg.hssConfig, cfg.fastCapacityFrac);
+
+    // Every result is normalized to Fast-Only: the same workload on a
+    // fast device big enough for the whole working set.
+    const sim::RunMetrics fastOnly =
+        sim::computeFastOnlyBaseline(cfg, workload);
 
     // 3. Run the Sibyl RL agent. It starts with zero knowledge and
     //    learns online from per-request latency rewards.
     core::SibylConfig sibylCfg; // Table 2 defaults
-    core::SibylPolicy sibyl(sibylCfg, experiment.numDevices());
-    auto sibylResult = experiment.run(workload, sibyl);
+    core::SibylPolicy sibyl(sibylCfg, numDevices);
+    auto sibylResult =
+        sim::runPolicyExperiment(cfg, workload, sibyl, fastOnly);
 
     // 4. Run a heuristic baseline for comparison.
     policies::CdePolicy cde;
-    auto cdeResult = experiment.run(workload, cde);
+    auto cdeResult = sim::runPolicyExperiment(cfg, workload, cde, fastOnly);
 
     std::printf("\n%-8s %15s %15s %12s\n", "policy", "avg latency", "vs Fast-Only",
                 "evictions");

@@ -64,9 +64,11 @@ main(int argc, char **argv)
             characterize(real);
             sim::ExperimentConfig cfg;
             cfg.hssConfig = "H&M";
-            sim::Experiment exp(cfg);
-            auto p = sim::makePolicy("Sibyl", exp.numDevices());
-            auto r = exp.run(real, *p);
+            auto p = sim::makePolicy(
+                "Sibyl",
+                sim::numHssDevices(cfg.hssConfig, cfg.fastCapacityFrac));
+            auto r = sim::runPolicyExperiment(
+                cfg, real, *p, sim::computeFastOnlyBaseline(cfg, real));
             std::printf("  Sibyl on %s: %.1f us avg (%.2fx Fast-Only)\n",
                         real.name().c_str(), r.metrics.avgLatencyUs,
                         r.normalizedLatency);

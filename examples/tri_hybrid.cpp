@@ -28,22 +28,26 @@ main()
         sim::ExperimentConfig cfg;
         cfg.hssConfig = cfgName;
         cfg.fastCapacityFrac = 0.05; // §8.7: H holds 5%, M 10% of WSS
-        sim::Experiment experiment(cfg);
+        const std::uint32_t numDevices =
+            sim::numHssDevices(cfg.hssConfig, cfg.fastCapacityFrac);
+        const sim::RunMetrics fastOnly =
+            sim::computeFastOnlyBaseline(cfg, workload);
 
         // The designer-made tri-hybrid heuristic [76]...
         policies::TriHeuristicPolicy heuristic;
-        auto hr = experiment.run(workload, heuristic);
+        auto hr =
+            sim::runPolicyExperiment(cfg, workload, heuristic, fastOnly);
 
         // ...vs Sibyl, extended by just constructing it with 3 devices:
         // the action space grows to {H, M, L} and the observation gains
         // the M device's remaining capacity.
         core::SibylConfig scfg;
-        core::SibylPolicy sibyl(scfg, experiment.numDevices());
-        auto sr = experiment.run(workload, sibyl);
+        core::SibylPolicy sibyl(scfg, numDevices);
+        auto sr = sim::runPolicyExperiment(cfg, workload, sibyl, fastOnly);
 
         std::printf("[%s] %s\n", cfgName, workload.name().c_str());
         std::printf("  state dim: %u, actions: %u\n",
-                    sibyl.encoder().dimension(), experiment.numDevices());
+                    sibyl.encoder().dimension(), numDevices);
         std::printf("  %-22s %10.1f us (%.2fx Fast-Only)\n",
                     hr.policy.c_str(), hr.metrics.avgLatencyUs,
                     hr.normalizedLatency);

@@ -5,124 +5,6 @@
 namespace sibyl::hss
 {
 
-// ------------------------------------------------------------------
-// LegacyPageMetaTable
-// ------------------------------------------------------------------
-
-LegacyPageMetaTable::LegacyPageMetaTable(std::uint32_t numDevices)
-    : numDevices_(numDevices), lru_(numDevices)
-{
-    if (numDevices == 0)
-        fatal("PageMetaTable: need at least one device");
-}
-
-bool
-LegacyPageMetaTable::isMapped(PageId page) const
-{
-    auto it = meta_.find(page);
-    return it != meta_.end() && it->second.placement != kNoDevice;
-}
-
-DeviceId
-LegacyPageMetaTable::placement(PageId page) const
-{
-    auto it = meta_.find(page);
-    return it == meta_.end() ? kNoDevice : it->second.placement;
-}
-
-std::uint64_t
-LegacyPageMetaTable::accessCount(PageId page) const
-{
-    auto it = meta_.find(page);
-    return it == meta_.end() ? 0 : it->second.accessCount;
-}
-
-std::uint64_t
-LegacyPageMetaTable::accessInterval(PageId page) const
-{
-    auto it = meta_.find(page);
-    if (it == meta_.end() || it->second.accessCount == 0)
-        return tick_;
-    return tick_ - it->second.lastAccessTick;
-}
-
-void
-LegacyPageMetaTable::recordAccess(PageId page)
-{
-    tick_++;
-    auto &m = meta_[page];
-    m.accessCount++;
-    m.lastAccessTick = tick_;
-    if (m.placement != kNoDevice) {
-        // Refresh recency: move to MRU position.
-        auto &list = lru_[m.placement];
-        list.erase(m.lruIt);
-        list.push_front(page);
-        m.lruIt = list.begin();
-    }
-}
-
-void
-LegacyPageMetaTable::map(PageId page, DeviceId dev)
-{
-    if (dev >= numDevices_)
-        panic("PageMetaTable::map: bad device id");
-    auto &m = meta_[page];
-    if (m.placement != kNoDevice)
-        panic("PageMetaTable::map: page already mapped");
-    m.placement = dev;
-    lru_[dev].push_front(page);
-    m.lruIt = lru_[dev].begin();
-}
-
-void
-LegacyPageMetaTable::remap(PageId page, DeviceId dev)
-{
-    if (dev >= numDevices_)
-        panic("PageMetaTable::remap: bad device id");
-    auto it = meta_.find(page);
-    if (it == meta_.end() || it->second.placement == kNoDevice)
-        panic("PageMetaTable::remap: page not mapped");
-    auto &m = it->second;
-    lru_[m.placement].erase(m.lruIt);
-    m.placement = dev;
-    lru_[dev].push_front(page);
-    m.lruIt = lru_[dev].begin();
-}
-
-PageId
-LegacyPageMetaTable::lruVictim(DeviceId dev) const
-{
-    const auto &list = lru_.at(dev);
-    return list.empty() ? kInvalidPage : list.back();
-}
-
-std::uint64_t
-LegacyPageMetaTable::pagesOn(DeviceId dev) const
-{
-    return lru_.at(dev).size();
-}
-
-std::vector<PageId>
-LegacyPageMetaTable::residency(DeviceId dev) const
-{
-    const auto &list = lru_.at(dev);
-    return std::vector<PageId>(list.rbegin(), list.rend());
-}
-
-void
-LegacyPageMetaTable::reset()
-{
-    tick_ = 0;
-    meta_.clear();
-    for (auto &l : lru_)
-        l.clear();
-}
-
-// ------------------------------------------------------------------
-// FlatPageMetaTable
-// ------------------------------------------------------------------
-
 namespace
 {
 
@@ -137,31 +19,22 @@ roundUpPow2(std::uint64_t v)
 
 } // namespace
 
-FlatPageMetaTable::FlatPageMetaTable(std::uint32_t numDevices)
-    : FlatPageMetaTable(numDevices, Config())
-{
-}
-
-FlatPageMetaTable::FlatPageMetaTable(std::uint32_t numDevices,
-                                     const Config &cfg)
+PageMetaTable::PageMetaTable(std::uint32_t numDevices,
+                             std::uint64_t initialSlots)
     : numDevices_(numDevices),
-      maxLoad_(cfg.maxLoadFactor),
       heads_(numDevices, kNil),
       tails_(numDevices, kNil),
       counts_(numDevices, 0)
 {
     if (numDevices == 0)
         fatal("PageMetaTable: need at least one device");
-    if (maxLoad_ <= 0.0 || maxLoad_ >= 1.0)
-        maxLoad_ = 0.60;
-    const std::uint64_t slots =
-        roundUpPow2(cfg.initialCapacity ? cfg.initialCapacity : 16);
+    const std::uint64_t slots = roundUpPow2(initialSlots);
     slots_.assign(slots, Slot());
     mask_ = slots - 1;
 }
 
 std::uint64_t
-FlatPageMetaTable::hashPage(PageId page)
+PageMetaTable::hashPage(PageId page)
 {
     // splitmix64 finalizer: page ids are near-contiguous, so full
     // avalanche keeps linear-probe clusters short.
@@ -172,7 +45,7 @@ FlatPageMetaTable::hashPage(PageId page)
 }
 
 std::uint32_t
-FlatPageMetaTable::find(PageId page) const
+PageMetaTable::find(PageId page) const
 {
     std::uint64_t i = hashPage(page) & mask_;
     while (true) {
@@ -186,12 +59,11 @@ FlatPageMetaTable::find(PageId page) const
 }
 
 std::uint32_t
-FlatPageMetaTable::findOrCreate(PageId page)
+PageMetaTable::findOrCreate(PageId page)
 {
     if (static_cast<double>(size_ + 1) >
-        maxLoad_ * static_cast<double>(slots_.size())) {
-        grow(slots_.size() * 2);
-    }
+        kMaxLoad * static_cast<double>(slots_.size()))
+        grow();
     std::uint64_t i = hashPage(page) & mask_;
     while (true) {
         Slot &s = slots_[i];
@@ -207,12 +79,9 @@ FlatPageMetaTable::findOrCreate(PageId page)
 }
 
 void
-FlatPageMetaTable::grow(std::uint64_t minSlots)
+PageMetaTable::grow()
 {
-    const std::uint64_t newSize = roundUpPow2(minSlots);
-    if (newSize <= slots_.size())
-        return;
-
+    const std::uint64_t newSize = slots_.size() * 2;
     std::vector<Slot> old;
     old.swap(slots_);
     slots_.assign(newSize, Slot());
@@ -248,15 +117,7 @@ FlatPageMetaTable::grow(std::uint64_t minSlots)
 }
 
 void
-FlatPageMetaTable::reserve(std::uint64_t pages)
-{
-    const auto want = static_cast<std::uint64_t>(
-        static_cast<double>(pages) / maxLoad_ + 1.0);
-    grow(roundUpPow2(want));
-}
-
-void
-FlatPageMetaTable::unlink(std::uint32_t idx)
+PageMetaTable::unlink(std::uint32_t idx)
 {
     Slot &s = slots_[idx];
     const DeviceId dev = s.placement;
@@ -273,7 +134,7 @@ FlatPageMetaTable::unlink(std::uint32_t idx)
 }
 
 void
-FlatPageMetaTable::pushFront(std::uint32_t idx, DeviceId dev)
+PageMetaTable::pushFront(std::uint32_t idx, DeviceId dev)
 {
     Slot &s = slots_[idx];
     s.lruPrev = kNil;
@@ -286,28 +147,28 @@ FlatPageMetaTable::pushFront(std::uint32_t idx, DeviceId dev)
 }
 
 bool
-FlatPageMetaTable::isMapped(PageId page) const
+PageMetaTable::isMapped(PageId page) const
 {
     const std::uint32_t i = find(page);
     return i != kNil && slots_[i].placement != kNoDevice;
 }
 
 DeviceId
-FlatPageMetaTable::placement(PageId page) const
+PageMetaTable::placement(PageId page) const
 {
     const std::uint32_t i = find(page);
     return i == kNil ? kNoDevice : slots_[i].placement;
 }
 
 std::uint64_t
-FlatPageMetaTable::accessCount(PageId page) const
+PageMetaTable::accessCount(PageId page) const
 {
     const std::uint32_t i = find(page);
     return i == kNil ? 0 : slots_[i].accessCount;
 }
 
 std::uint64_t
-FlatPageMetaTable::accessInterval(PageId page) const
+PageMetaTable::accessInterval(PageId page) const
 {
     const std::uint32_t i = find(page);
     if (i == kNil || slots_[i].accessCount == 0)
@@ -316,7 +177,7 @@ FlatPageMetaTable::accessInterval(PageId page) const
 }
 
 void
-FlatPageMetaTable::recordAccess(PageId page)
+PageMetaTable::recordAccess(PageId page)
 {
     tick_++;
     const std::uint32_t i = findOrCreate(page);
@@ -334,7 +195,7 @@ FlatPageMetaTable::recordAccess(PageId page)
 }
 
 void
-FlatPageMetaTable::map(PageId page, DeviceId dev)
+PageMetaTable::map(PageId page, DeviceId dev)
 {
     if (dev >= numDevices_)
         panic("PageMetaTable::map: bad device id");
@@ -348,7 +209,7 @@ FlatPageMetaTable::map(PageId page, DeviceId dev)
 }
 
 void
-FlatPageMetaTable::remap(PageId page, DeviceId dev)
+PageMetaTable::remap(PageId page, DeviceId dev)
 {
     if (dev >= numDevices_)
         panic("PageMetaTable::remap: bad device id");
@@ -364,7 +225,7 @@ FlatPageMetaTable::remap(PageId page, DeviceId dev)
 }
 
 PageId
-FlatPageMetaTable::lruVictim(DeviceId dev) const
+PageMetaTable::lruVictim(DeviceId dev) const
 {
     if (dev >= numDevices_)
         panic("PageMetaTable::lruVictim: bad device id");
@@ -372,7 +233,7 @@ FlatPageMetaTable::lruVictim(DeviceId dev) const
 }
 
 std::uint64_t
-FlatPageMetaTable::pagesOn(DeviceId dev) const
+PageMetaTable::pagesOn(DeviceId dev) const
 {
     if (dev >= numDevices_)
         panic("PageMetaTable::pagesOn: bad device id");
@@ -380,7 +241,7 @@ FlatPageMetaTable::pagesOn(DeviceId dev) const
 }
 
 std::vector<PageId>
-FlatPageMetaTable::residency(DeviceId dev) const
+PageMetaTable::residency(DeviceId dev) const
 {
     if (dev >= numDevices_)
         panic("PageMetaTable::residency: bad device id");
@@ -392,7 +253,7 @@ FlatPageMetaTable::residency(DeviceId dev) const
 }
 
 void
-FlatPageMetaTable::reset()
+PageMetaTable::reset()
 {
     tick_ = 0;
     size_ = 0;

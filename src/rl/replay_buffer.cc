@@ -177,30 +177,6 @@ ReplayBuffer::samplePrioritizedIndices(std::size_t n, Pcg32 &rng,
     return out;
 }
 
-std::vector<std::size_t>
-ReplayBuffer::samplePrioritizedIndicesPrefixSum(std::size_t n, Pcg32 &rng,
-                                                double alpha) const
-{
-    std::vector<std::size_t> out;
-    if (entries_.empty())
-        return out;
-
-    std::vector<double> cum(entries_.size());
-    double total = 0.0;
-    for (std::size_t i = 0; i < entries_.size(); i++) {
-        total += transformedPriority(priorities_[i], alpha);
-        cum[i] = total;
-    }
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; i++) {
-        const double u = rng.nextDouble() * total;
-        const auto it = std::lower_bound(cum.begin(), cum.end(), u);
-        out.push_back(
-            static_cast<std::size_t>(it - cum.begin()));
-    }
-    return out;
-}
-
 void
 ReplayBuffer::setPriority(std::size_t i, float p)
 {

@@ -135,17 +135,6 @@ class ReplayBuffer
                                                       Pcg32 &rng,
                                                       double alpha) const;
 
-    /**
-     * Reference prioritized sampler: rebuilds an O(N) prefix-sum array
-     * and draws by lower_bound, exactly as the pre-sum-tree
-     * implementation did. Kept for distribution-equivalence tests and
-     * the training microbenchmark's baseline; the hot path uses
-     * samplePrioritizedIndices().
-     */
-    std::vector<std::size_t>
-    samplePrioritizedIndicesPrefixSum(std::size_t n, Pcg32 &rng,
-                                      double alpha) const;
-
     /** Priority of entry @p i (default: max priority at insert time). */
     float priority(std::size_t i) const { return priorities_.at(i); }
 

@@ -47,8 +47,8 @@ class SumTree
     /**
      * Index of the leaf whose cumulative-sum interval contains
      * @p prefix in [0, total()). O(log N). With all set leaves strictly
-     * positive this is exactly the inverse-CDF draw the prefix-sum
-     * sampler performed with lower_bound.
+     * positive this is exactly the inverse-CDF draw a prefix-sum array
+     * makes with lower_bound (tests/test_sum_tree.cc checks both).
      */
     std::size_t sample(double prefix) const;
 

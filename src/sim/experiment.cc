@@ -10,8 +10,6 @@
 namespace sibyl::sim
 {
 
-Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) {}
-
 std::uint32_t
 numHssDevices(const std::string &hssConfig, double fastCapacityFrac)
 {
@@ -19,12 +17,6 @@ numHssDevices(const std::string &hssConfig, double fastCapacityFrac)
     // shorthand (dual, tri, quad) stays in sync automatically.
     return static_cast<std::uint32_t>(
         hss::makeHssConfig(hssConfig, 4096, fastCapacityFrac).size());
-}
-
-std::uint32_t
-Experiment::numDevices() const
-{
-    return numHssDevices(cfg_.hssConfig, cfg_.fastCapacityFrac);
 }
 
 RunMetrics
@@ -82,29 +74,6 @@ runPolicyExperiment(const ExperimentConfig &cfg, const trace::Trace &t,
         }
     }
     return r;
-}
-
-const RunMetrics &
-Experiment::fastOnlyBaseline(const trace::Trace &t)
-{
-    {
-        std::lock_guard<std::mutex> lock(baselineMutex_);
-        auto it = baselineCache_.find(t.name());
-        if (it != baselineCache_.end())
-            return it->second;
-    }
-    // Compute outside the lock so two threads working on different
-    // traces don't serialize; racers on the same trace compute the
-    // same (deterministic) metrics and the first emplace wins.
-    RunMetrics m = computeFastOnlyBaseline(cfg_, t);
-    std::lock_guard<std::mutex> lock(baselineMutex_);
-    return baselineCache_.emplace(t.name(), std::move(m)).first->second;
-}
-
-PolicyResult
-Experiment::run(const trace::Trace &t, policies::PlacementPolicy &policy)
-{
-    return runPolicyExperiment(cfg_, t, policy, fastOnlyBaseline(t));
 }
 
 std::unique_ptr<policies::PlacementPolicy>

@@ -9,9 +9,7 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "core/sibyl_config.hh"
@@ -97,8 +95,8 @@ struct PolicyResult
     double fairnessJain = 0.0;
 };
 
-/** Device count of an HSS shorthand (shared by the serial harness and
- *  the parallel runner so the two can never disagree). */
+/** Device count of an HSS shorthand (shared by the parallel runner,
+ *  the fleet and every caller sizing a policy's action space). */
 std::uint32_t numHssDevices(const std::string &hssConfig,
                             double fastCapacityFrac = 0.10);
 
@@ -114,48 +112,15 @@ RunMetrics computeFastOnlyBaseline(const ExperimentConfig &cfg,
 
 /**
  * Run @p policy on @p t under @p cfg with a freshly built system and
- * normalize against @p baseline. This is the single-run core shared by
- * the serial Experiment harness and the parallel runner; it touches no
- * shared state.
+ * normalize against @p baseline. This is the single-run core of the
+ * parallel runner; it touches no shared state, so callers that build
+ * their own policy object compute the baseline once per trace with
+ * computeFastOnlyBaseline() and call this directly.
  */
 PolicyResult runPolicyExperiment(const ExperimentConfig &cfg,
                                  const trace::Trace &t,
                                  policies::PlacementPolicy &policy,
                                  const RunMetrics &baseline);
-
-/**
- * Runs policies over traces under a fixed experiment configuration,
- * caching the Fast-Only baseline per trace. Thread-safe: concurrent
- * run()/fastOnlyBaseline() calls on one Experiment are allowed (the
- * baseline cache is guarded; cached entries are never invalidated, so
- * returned references stay valid for the Experiment's lifetime).
- */
-class Experiment
-{
-  public:
-    explicit Experiment(ExperimentConfig cfg);
-
-    /** Number of devices in the configured HSS. */
-    std::uint32_t numDevices() const;
-
-    /**
-     * Run @p policy on @p t with a freshly built system and return the
-     * normalized result.
-     */
-    PolicyResult run(const trace::Trace &t,
-                     policies::PlacementPolicy &policy);
-
-    /** Fast-Only reference metrics for @p t (fast device sized to hold
-     *  the entire working set, per the paper's baseline definition). */
-    const RunMetrics &fastOnlyBaseline(const trace::Trace &t);
-
-    const ExperimentConfig &config() const { return cfg_; }
-
-  private:
-    ExperimentConfig cfg_;
-    std::mutex baselineMutex_;
-    std::map<std::string, RunMetrics> baselineCache_;
-};
 
 /**
  * Policy factory — a thin wrapper over scenario::PolicyFactory, kept

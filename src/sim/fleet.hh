@@ -124,6 +124,9 @@ struct FleetSpec
  * Jain fairness index over per-tenant IOPS in `fairnessJain`.
  * Normalized metrics are 0 — there is no Fast-Only divisor for a
  * heterogeneous fleet.
+ *
+ * The `bool` argument is ignored (seeds are always derived as above);
+ * it is kept only for source compatibility with existing callers.
  */
 PolicyResult runFleetExperiment(const RunSpec &spec,
                                 trace::TraceCache &traces,

@@ -17,6 +17,9 @@ namespace sibyl::sim
 namespace
 {
 
+/** Attempts per run before it is recorded as failed (see runAll()). */
+constexpr unsigned kMaxAttempts = 2;
+
 std::uint64_t
 fnv1a(const std::string &s)
 {
@@ -220,9 +223,7 @@ ParallelRunner::baselineFor(const RunSpec &spec, const trace::Trace &t)
             ExperimentConfig ecfg;
             ecfg.hssConfig = spec.hssConfig;
             ecfg.fastCapacityFrac = spec.fastCapacityFrac;
-            ecfg.seed = cfg_.deriveRunSeeds
-                ? deriveStream(fnv1a(id), kDeviceJitterSalt)
-                : spec.seed;
+            ecfg.seed = deriveStream(fnv1a(id), kDeviceJitterSalt);
             ecfg.sim = spec.sim;
             ecfg.sim.recordPerRequest = false;
             promise.set_value(std::make_shared<const RunMetrics>(
@@ -250,11 +251,11 @@ ParallelRunner::runOne(const RunSpec &spec, RunRecord &rec,
     if (spec.fleet) {
         // Fleet runs own their tenant construction (traces, systems,
         // policies, per-tenant seeds) end to end; there is no single
-        // policy or Fast-Only baseline at this level.
+        // policy or Fast-Only baseline at this level. Tenant seeds are
+        // run-key-derived, like every other run's.
         phase = "simulate";
-        rec.result = runFleetExperiment(spec, traces_,
-                                        cfg_.deriveRunSeeds,
-                                        cfg_.numThreads);
+        rec.result =
+            runFleetExperiment(spec, traces_, true, cfg_.numThreads);
         phase = "finish";
         return;
     }
@@ -268,15 +269,12 @@ ParallelRunner::runOne(const RunSpec &spec, RunRecord &rec,
     ExperimentConfig ecfg;
     ecfg.hssConfig = spec.hssConfig;
     ecfg.fastCapacityFrac = spec.fastCapacityFrac;
-    ecfg.seed = cfg_.deriveRunSeeds
-        ? deriveStream(rec.runKey, kDeviceJitterSalt)
-        : spec.seed;
+    ecfg.seed = deriveStream(rec.runKey, kDeviceJitterSalt);
     ecfg.sim = spec.sim;
     ecfg.specTweak = spec.specTweak;
 
     core::SibylConfig sibylCfg = spec.sibylCfg;
-    if (cfg_.deriveRunSeeds)
-        sibylCfg.seed = deriveStream(rec.runKey, kAgentSalt);
+    sibylCfg.seed = deriveStream(rec.runKey, kAgentSalt);
 
     auto policy = makePolicy(
         spec.policy,
@@ -303,9 +301,6 @@ ParallelRunner::runAll(const std::vector<RunSpec> &specs,
                        const RunDoneFn &onRunDone)
 {
     std::vector<RunRecord> records(specs.size());
-    const unsigned maxAttempts = cfg_.maxAttempts > 0
-        ? cfg_.maxAttempts
-        : 1u;
     ThreadPool::parallelFor(
         specs.size(),
         [&](std::size_t i) {
@@ -335,10 +330,8 @@ ParallelRunner::runAll(const std::vector<RunSpec> &specs,
                         rec.error = std::string(phase) +
                                     ": unknown exception";
                     }
-                    if (attempt < maxAttempts)
+                    if (attempt < kMaxAttempts)
                         continue;
-                    if (!cfg_.isolateFailures)
-                        throw;
                     rec.result = PolicyResult();
                     break;
                 }

@@ -32,15 +32,13 @@
  *     trajectory (the zero-behavior-change claim is a bit-identity).
  *  2. `deriveStream(runKey, salt)` = splitmix64(runKey ^
  *     splitmix64(salt)): independent well-mixed streams per salt.
- *  3. With `ParallelConfig::deriveRunSeeds` (the default), a run's
- *     device-jitter seed is deriveStream(runKey, kDeviceJitterSalt) and
- *     the Sibyl agent seed is deriveStream(runKey, kAgentSalt). The
- *     Fast-Only baseline, shared by every policy on the same (config,
- *     trace, seed), uses deriveStream(baselineKey, kDeviceJitterSalt)
- *     where baselineKey is the run key of a pseudo-run with policy
- *     "Fast-Only-baseline". With deriveRunSeeds = false, RunSpec::seed
- *     and RunSpec::sibylCfg.seed are used verbatim (the legacy serial
- *     Experiment behavior).
+ *  3. A run's device-jitter seed is deriveStream(runKey,
+ *     kDeviceJitterSalt) and the Sibyl agent seed is deriveStream(runKey,
+ *     kAgentSalt). The Fast-Only baseline, shared by every policy on the
+ *     same (config, trace, seed), uses deriveStream(baselineKey,
+ *     kDeviceJitterSalt) where baselineKey is the run key of a
+ *     pseudo-run with policy "Fast-Only-baseline", fastCapacityFrac 1.6
+ *     and no variantTag.
  *
  * Changing the canonical string format invalidates every golden-run
  * snapshot; treat it like an on-disk format.
@@ -96,8 +94,8 @@ struct RunSpec
     std::uint64_t traceSeed = 0;
     double timeCompress = 1.0;
 
-    /** Experiment seed; feeds the run key (and, with deriveRunSeeds
-     *  off, is used verbatim as the device-jitter seed). */
+    /** Experiment seed; feeds the run key, from which every per-run
+     *  RNG stream is derived. */
     std::uint64_t seed = 42;
 
     SimConfig sim;
@@ -173,28 +171,6 @@ struct ParallelConfig
     /** Worker count: 0 = ThreadPool::defaultThreads() (SIBYL_THREADS
      *  env override, else hardware concurrency); 1 = serial oracle. */
     unsigned numThreads = 0;
-
-    /** Derive per-run RNG streams from the run key (see file header). */
-    bool deriveRunSeeds = true;
-
-    /**
-     * Per-run failure isolation: when true (the default) an exception
-     * in one run no longer aborts the batch — the run is recorded as
-     * a structured failure (RunRecord::status/error) and every other
-     * run completes bit-exact to a batch without it. When false, the
-     * first failure propagates out of runAll() after its retry budget
-     * is exhausted (the legacy fail-fast behavior).
-     */
-    bool isolateFailures = true;
-
-    /**
-     * Bounded retry budget per run (total attempts, >= 1). A retry is
-     * a *fresh* attempt: per-run RNG streams are pure functions of
-     * the run key, so a transient failure (e.g. an I/O hiccup in a
-     * policy hook) replays the identical trajectory, while a
-     * deterministic failure fails identically and is then recorded.
-     */
-    unsigned maxAttempts = 2;
 };
 
 /**
@@ -240,7 +216,12 @@ class ParallelRunner
 
     /**
      * Run every spec and return records in spec order (index i of the
-     * result corresponds to specs[i] regardless of scheduling).
+     * result corresponds to specs[i] regardless of scheduling). Runs
+     * are failure-isolated: a run that throws gets one fresh retry off
+     * the same run-key-derived streams (so a transient failure replays
+     * the identical trajectory) and, failing again, becomes a
+     * structured failure record (RunRecord::status/error) while every
+     * other run completes bit-exact to a batch without it.
      */
     std::vector<RunRecord> runAll(const std::vector<RunSpec> &specs);
 

@@ -31,12 +31,12 @@ TEST(EndToEnd, CheckpointSurvivesSimulatedRun)
 {
     sim::ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", 6000);
+    const auto fastOnly = sim::computeFastOnlyBaseline(cfg, t);
 
     core::SibylConfig scfg;
-    core::SibylPolicy trained(scfg, exp.numDevices());
-    exp.run(t, trained);
+    core::SibylPolicy trained(scfg, 2);
+    sim::runPolicyExperiment(cfg, t, trained, fastOnly);
     // Checkpoints persist the *training* network (the latest learned
     // weights); align the live policy's inference copy before
     // comparing decisions.
@@ -45,7 +45,7 @@ TEST(EndToEnd, CheckpointSurvivesSimulatedRun)
     std::stringstream buf;
     rl::saveCheckpoint(trained.agent(), buf);
 
-    core::SibylPolicy fresh(scfg, exp.numDevices());
+    core::SibylPolicy fresh(scfg, 2);
     ASSERT_EQ(rl::loadCheckpoint(fresh.agent(), buf), "");
 
     // Greedy decisions of the restored agent match the trained one.
@@ -65,18 +65,18 @@ TEST(EndToEnd, CheckpointAcrossAgentFamiliesInPolicies)
          {core::AgentKind::C51, core::AgentKind::Dqn,
           core::AgentKind::QTable}) {
         sim::ExperimentConfig cfg;
-        sim::Experiment exp(cfg);
         trace::Trace t = trace::makeWorkload("prxy_0", 3000);
+        const auto fastOnly = sim::computeFastOnlyBaseline(cfg, t);
         core::SibylConfig scfg;
         scfg.agentKind = kind;
         if (kind == core::AgentKind::QTable)
             scfg.learningRate = 0.2;
-        core::SibylPolicy trained(scfg, exp.numDevices());
-        exp.run(t, trained);
+        core::SibylPolicy trained(scfg, 2);
+        sim::runPolicyExperiment(cfg, t, trained, fastOnly);
 
         std::stringstream buf;
         rl::saveCheckpoint(trained.agent(), buf);
-        core::SibylPolicy fresh(scfg, exp.numDevices());
+        core::SibylPolicy fresh(scfg, 2);
         EXPECT_EQ(rl::loadCheckpoint(fresh.agent(), buf), "")
             << core::agentKindName(kind);
     }
@@ -90,19 +90,21 @@ TEST(EndToEnd, EvictionOnlyRewardParksDataSlow)
 {
     sim::ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", 8000);
+    const auto fastOnly = sim::computeFastOnlyBaseline(cfg, t);
 
     core::SibylConfig latencyCfg;
-    core::SibylPolicy latencySibyl(latencyCfg, exp.numDevices());
-    const auto latencyRun = exp.run(t, latencySibyl);
+    core::SibylPolicy latencySibyl(latencyCfg, 2);
+    const auto latencyRun =
+        sim::runPolicyExperiment(cfg, t, latencySibyl, fastOnly);
 
     core::SibylConfig evictCfg;
     evictCfg.reward.kind = core::RewardKind::EvictionOnly;
     evictCfg.vmin = -2.0;
     evictCfg.vmax = 2.0;
-    core::SibylPolicy evictSibyl(evictCfg, exp.numDevices());
-    const auto evictRun = exp.run(t, evictSibyl);
+    core::SibylPolicy evictSibyl(evictCfg, 2);
+    const auto evictRun =
+        sim::runPolicyExperiment(cfg, t, evictSibyl, fastOnly);
 
     // The §11 failure mode: far lower fast preference and evictions.
     EXPECT_LT(evictRun.metrics.fastPlacementPreference,
@@ -115,18 +117,20 @@ TEST(EndToEnd, EnduranceRewardReducesFastWrites)
 {
     sim::ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("wdev_2", 8000); // write-heavy
+    const auto fastOnly = sim::computeFastOnlyBaseline(cfg, t);
 
     core::SibylConfig base;
-    core::SibylPolicy baseSibyl(base, exp.numDevices());
-    const auto baseRun = exp.run(t, baseSibyl);
+    core::SibylPolicy baseSibyl(base, 2);
+    const auto baseRun =
+        sim::runPolicyExperiment(cfg, t, baseSibyl, fastOnly);
 
     core::SibylConfig endu = base;
     endu.reward.kind = core::RewardKind::EnduranceAware;
     endu.reward.enduranceWeight = 1.0; // aggressive
-    core::SibylPolicy enduSibyl(endu, exp.numDevices());
-    const auto enduRun = exp.run(t, enduSibyl);
+    core::SibylPolicy enduSibyl(endu, 2);
+    const auto enduRun =
+        sim::runPolicyExperiment(cfg, t, enduSibyl, fastOnly);
 
     EXPECT_LT(enduRun.devicePagesWritten.at(0),
               baseRun.devicePagesWritten.at(0));
@@ -142,12 +146,12 @@ TEST(EndToEnd, SaliencyRunsOnEveryAgentFamily)
          {core::AgentKind::C51, core::AgentKind::Dqn,
           core::AgentKind::QTable}) {
         sim::ExperimentConfig cfg;
-        sim::Experiment exp(cfg);
         trace::Trace t = trace::makeWorkload("rsrch_0", 2000);
+        const auto fastOnly = sim::computeFastOnlyBaseline(cfg, t);
         core::SibylConfig scfg;
         scfg.agentKind = kind;
-        explain::InstrumentedSibyl policy(scfg, exp.numDevices());
-        exp.run(t, policy);
+        explain::InstrumentedSibyl policy(scfg, 2);
+        sim::runPolicyExperiment(cfg, t, policy, fastOnly);
 
         std::vector<ml::Vector> states;
         for (std::size_t i = 0; i < policy.log().size(); i += 200)
@@ -169,10 +173,10 @@ TEST(EndToEnd, SaliencyRunsOnEveryAgentFamily)
 TEST(EndToEnd, SteadyStateLatencyPopulated)
 {
     sim::ExperimentConfig cfg;
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", 4000);
-    core::SibylPolicy sibyl(core::SibylConfig(), exp.numDevices());
-    const auto r = exp.run(t, sibyl);
+    const auto fastOnly = sim::computeFastOnlyBaseline(cfg, t);
+    core::SibylPolicy sibyl(core::SibylConfig(), 2);
+    const auto r = sim::runPolicyExperiment(cfg, t, sibyl, fastOnly);
     EXPECT_GT(r.metrics.steadyAvgLatencyUs, 0.0);
     // Second-half average is a plausible latency (same order as the
     // overall mean).
@@ -188,10 +192,10 @@ TEST(EndToEnd, OnlineLearnerImprovesBySecondHalf)
     // should not be worse than its overall average (it learned).
     sim::ExperimentConfig cfg;
     cfg.hssConfig = "H&L"; // big gap -> clear learning signal
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("wdev_2");
-    core::SibylPolicy sibyl(core::SibylConfig(), exp.numDevices());
-    const auto r = exp.run(t, sibyl);
+    const auto fastOnly = sim::computeFastOnlyBaseline(cfg, t);
+    core::SibylPolicy sibyl(core::SibylConfig(), 2);
+    const auto r = sim::runPolicyExperiment(cfg, t, sibyl, fastOnly);
     EXPECT_LE(r.metrics.steadyAvgLatencyUs,
               r.metrics.avgLatencyUs * 1.05);
 }
@@ -203,20 +207,20 @@ TEST(EndToEnd, OnlineLearnerImprovesBySecondHalf)
 TEST(EndToEnd, WarmStartedPolicyActsGreedilyFromCheckpoint)
 {
     sim::ExperimentConfig cfg;
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("prxy_0", 6000);
+    const auto fastOnly = sim::computeFastOnlyBaseline(cfg, t);
 
     core::SibylConfig scfg;
-    core::SibylPolicy trained(scfg, exp.numDevices());
-    exp.run(t, trained);
+    core::SibylPolicy trained(scfg, 2);
+    sim::runPolicyExperiment(cfg, t, trained, fastOnly);
     const std::string path = "/tmp/sibyl_e2e_ckpt.bin";
     rl::saveCheckpointFile(trained.agent(), path);
 
     core::SibylConfig frozen = scfg;
     frozen.epsilon = 0.0;
-    core::SibylPolicy warm(frozen, exp.numDevices());
+    core::SibylPolicy warm(frozen, 2);
     ASSERT_EQ(rl::loadCheckpointFile(warm.agent(), path), "");
-    const auto r = exp.run(t, warm);
+    const auto r = sim::runPolicyExperiment(cfg, t, warm, fastOnly);
     EXPECT_EQ(r.metrics.requests, t.size());
     std::remove(path.c_str());
 }

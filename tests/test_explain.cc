@@ -216,11 +216,11 @@ TEST(InstrumentedSibyl, RecordsEveryDecision)
 {
     sim::ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", /*requests=*/2000);
 
-    InstrumentedSibyl policy(core::SibylConfig(), exp.numDevices());
-    const auto r = exp.run(t, policy);
+    InstrumentedSibyl policy(core::SibylConfig(), 2);
+    const auto r = sim::runPolicyExperiment(
+        cfg, t, policy, sim::computeFastOnlyBaseline(cfg, t));
     EXPECT_EQ(policy.log().size(), r.metrics.requests);
 }
 
@@ -228,11 +228,11 @@ TEST(InstrumentedSibyl, LoggedPreferenceMatchesRunMetrics)
 {
     sim::ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", 2000);
 
-    InstrumentedSibyl policy(core::SibylConfig(), exp.numDevices());
-    const auto r = exp.run(t, policy);
+    InstrumentedSibyl policy(core::SibylConfig(), 2);
+    const auto r = sim::runPolicyExperiment(
+        cfg, t, policy, sim::computeFastOnlyBaseline(cfg, t));
     EXPECT_NEAR(policy.log().overallPreference().preference(),
                 r.metrics.fastPlacementPreference, 1e-9);
 }
@@ -240,10 +240,10 @@ TEST(InstrumentedSibyl, LoggedPreferenceMatchesRunMetrics)
 TEST(InstrumentedSibyl, ResetClearsLog)
 {
     sim::ExperimentConfig cfg;
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", 500);
-    InstrumentedSibyl policy(core::SibylConfig(), exp.numDevices());
-    exp.run(t, policy);
+    InstrumentedSibyl policy(core::SibylConfig(), 2);
+    sim::runPolicyExperiment(cfg, t, policy,
+                             sim::computeFastOnlyBaseline(cfg, t));
     policy.reset();
     EXPECT_EQ(policy.log().size(), 0u);
 }
@@ -251,10 +251,10 @@ TEST(InstrumentedSibyl, ResetClearsLog)
 TEST(InstrumentedSibyl, StatesHaveEncoderDimension)
 {
     sim::ExperimentConfig cfg;
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", 300);
-    InstrumentedSibyl policy(core::SibylConfig(), exp.numDevices());
-    exp.run(t, policy);
+    InstrumentedSibyl policy(core::SibylConfig(), 2);
+    sim::runPolicyExperiment(cfg, t, policy,
+                             sim::computeFastOnlyBaseline(cfg, t));
     ASSERT_GT(policy.log().size(), 0u);
     EXPECT_EQ(policy.log()[0].state.size(),
               policy.sibyl().encoder().dimension());

@@ -390,7 +390,7 @@ TEST_P(SibylExplorationTest, RunsEndToEndThroughSibylConfig)
     trace::Trace t = trace::makeWorkload("rsrch_0", 4000);
     sim::ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
+    const auto base = sim::computeFastOnlyBaseline(cfg, t);
 
     core::SibylConfig scfg;
     scfg.exploration.kind = GetParam();
@@ -399,16 +399,16 @@ TEST_P(SibylExplorationTest, RunsEndToEndThroughSibylConfig)
     scfg.exploration.decaySteps = 1000;
     scfg.exploration.halfLifeSteps = 300;
     scfg.exploration.temperature = 0.05;
-    core::SibylPolicy sibyl(scfg, exp.numDevices());
-    const auto r = exp.run(t, sibyl);
+    core::SibylPolicy sibyl(scfg, 2);
+    const auto r = sim::runPolicyExperiment(cfg, t, sibyl, base);
 
     EXPECT_EQ(r.metrics.requests, t.size());
     EXPECT_GT(r.normalizedLatency, 0.0);
     EXPECT_EQ(sibyl.agent().stats().decisions, t.size());
     // The learner must still function: it beats Slow-Only on this
     // cache-friendly workload under every exploration strategy.
-    auto slow = sim::makePolicy("Slow-Only", exp.numDevices());
-    const auto sr = exp.run(t, *slow);
+    auto slow = sim::makePolicy("Slow-Only", 2);
+    const auto sr = sim::runPolicyExperiment(cfg, t, *slow, base);
     EXPECT_LT(r.normalizedLatency, sr.normalizedLatency);
 }
 

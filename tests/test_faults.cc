@@ -280,10 +280,10 @@ TEST(BlockDeviceFaults, SibylShiftsPlacementAwayFromDegradedDevice)
                 specs[0].faults.windows.push_back({0.0, 1e15, 50.0});
             };
         }
-        sim::Experiment exp(cfg);
         core::SibylConfig scfg;
-        core::SibylPolicy sibyl(scfg, exp.numDevices());
-        return exp.run(t, sibyl);
+        core::SibylPolicy sibyl(scfg, 2);
+        return sim::runPolicyExperiment(
+            cfg, t, sibyl, sim::computeFastOnlyBaseline(cfg, t));
     };
 
     const auto healthy = runWithFault(false);

@@ -8,12 +8,11 @@
  * (device timing, eviction order, RNG derivation, run-key format)
  * fails here instead of silently shifting every figure.
  *
- * The snapshots were generated by the parallel runner in its default
- * configuration (deriveRunSeeds on, run-key -> stream derivation as
- * documented in sim/parallel_runner.hh), workload prxy_1, traceLen
- * 4000, seed 42. Regenerate by printing the listed metrics at %.17g
- * and updating kGolden — deliberately a manual step: a golden change
- * must be a conscious, reviewed decision.
+ * The snapshots were generated by the parallel runner (run-key ->
+ * stream derivation as documented in sim/parallel_runner.hh), workload
+ * prxy_1, traceLen 4000, seed 42. Regenerate by printing the listed
+ * metrics at %.17g and updating kGolden — deliberately a manual step:
+ * a golden change must be a conscious, reviewed decision.
  *
  * Tolerances: deterministic heuristic policies get 0.1% (their
  * decisions are integer-threshold based; only device-jitter libm ULP

@@ -16,20 +16,21 @@ namespace sibyl
 namespace
 {
 
-using sim::Experiment;
+using sim::computeFastOnlyBaseline;
 using sim::ExperimentConfig;
 using sim::makePolicy;
+using sim::runPolicyExperiment;
 
 TEST(Integration, EveryPolicyRunsOnEveryConfig)
 {
     for (const char *cfgName : {"H&M", "H&L"}) {
         ExperimentConfig cfg;
         cfg.hssConfig = cfgName;
-        Experiment exp(cfg);
         trace::Trace t = trace::makeWorkload("usr_0", 2000);
+        const auto base = computeFastOnlyBaseline(cfg, t);
         for (const auto &name : sim::standardPolicyLineup()) {
-            auto p = makePolicy(name, exp.numDevices());
-            auto r = exp.run(t, *p);
+            auto p = makePolicy(name, 2);
+            auto r = runPolicyExperiment(cfg, t, *p, base);
             EXPECT_GT(r.metrics.avgLatencyUs, 0.0)
                 << name << " on " << cfgName;
             EXPECT_EQ(r.metrics.requests, 2000u);
@@ -68,11 +69,11 @@ TEST(Integration, FastOnlyIsTheLowerBound)
     // Fast-Only on an unlimited fast device (normalized >= ~1).
     ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
-    Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("prxy_0", 3000);
+    const auto base = computeFastOnlyBaseline(cfg, t);
     for (const char *name : {"Slow-Only", "CDE", "HPS", "Sibyl", "Oracle"}) {
         auto p = makePolicy(name, 2);
-        auto r = exp.run(t, *p);
+        auto r = runPolicyExperiment(cfg, t, *p, base);
         EXPECT_GE(r.normalizedLatency, 0.95) << name;
     }
 }
@@ -83,11 +84,11 @@ TEST(Integration, CachingBeatsSlowOnlyOnHotWorkload)
     // must beat Slow-Only in the cost-oriented config.
     ExperimentConfig cfg;
     cfg.hssConfig = "H&L";
-    Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("prxy_0", 4000);
-    auto slowR = exp.run(t, *makePolicy("Slow-Only", 2));
+    const auto base = computeFastOnlyBaseline(cfg, t);
+    auto slowR = runPolicyExperiment(cfg, t, *makePolicy("Slow-Only", 2), base);
     for (const char *name : {"CDE", "Sibyl", "Oracle"}) {
-        auto r = exp.run(t, *makePolicy(name, 2));
+        auto r = runPolicyExperiment(cfg, t, *makePolicy(name, 2), base);
         EXPECT_LT(r.normalizedLatency, slowR.normalizedLatency * 0.8)
             << name;
     }
@@ -124,12 +125,14 @@ TEST(Integration, TriHybridSibylRunsAndBeatsSlowestOnly)
     ExperimentConfig cfg;
     cfg.hssConfig = "H&M&L";
     cfg.fastCapacityFrac = 0.05;
-    Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("prxy_0", 4000);
-    auto sibylR = exp.run(t, *makePolicy("Sibyl", 3));
-    auto slowR = exp.run(t, *makePolicy("Slow-Only", 3));
+    const auto base = computeFastOnlyBaseline(cfg, t);
+    auto sibylR = runPolicyExperiment(cfg, t, *makePolicy("Sibyl", 3), base);
+    auto slowR =
+        runPolicyExperiment(cfg, t, *makePolicy("Slow-Only", 3), base);
     EXPECT_LT(sibylR.normalizedLatency, slowR.normalizedLatency);
-    auto heurR = exp.run(t, *makePolicy("Heuristic-Tri-Hybrid", 3));
+    auto heurR = runPolicyExperiment(
+        cfg, t, *makePolicy("Heuristic-Tri-Hybrid", 3), base);
     EXPECT_GT(heurR.metrics.requests, 0u);
 }
 
@@ -137,9 +140,9 @@ TEST(Integration, MixedWorkloadsRunEndToEnd)
 {
     ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
-    Experiment exp(cfg);
     trace::Trace t = trace::makeMixedWorkload("mix2", 1500);
-    auto r = exp.run(t, *makePolicy("Sibyl", 2));
+    auto r = runPolicyExperiment(cfg, t, *makePolicy("Sibyl", 2),
+                                 computeFastOnlyBaseline(cfg, t));
     EXPECT_GT(r.metrics.requests, 2900u);
     EXPECT_GT(r.normalizedLatency, 0.0);
 }
@@ -148,10 +151,11 @@ TEST(Integration, DeterministicAcrossRuns)
 {
     ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
-    Experiment expA(cfg), expB(cfg);
     trace::Trace t = trace::makeWorkload("wdev_2", 3000);
-    auto a = expA.run(t, *makePolicy("Sibyl", 2));
-    auto b = expB.run(t, *makePolicy("Sibyl", 2));
+    auto a = runPolicyExperiment(cfg, t, *makePolicy("Sibyl", 2),
+                                 computeFastOnlyBaseline(cfg, t));
+    auto b = runPolicyExperiment(cfg, t, *makePolicy("Sibyl", 2),
+                                 computeFastOnlyBaseline(cfg, t));
     EXPECT_DOUBLE_EQ(a.metrics.avgLatencyUs, b.metrics.avgLatencyUs);
     EXPECT_EQ(a.metrics.placements, b.metrics.placements);
 }
@@ -160,10 +164,10 @@ TEST(Integration, UnseenWorkloadsRun)
 {
     ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
-    Experiment exp(cfg);
     for (const auto &p : trace::filebenchProfiles()) {
         trace::Trace t = trace::makeWorkload(p, 1500);
-        auto r = exp.run(t, *makePolicy("Sibyl", 2));
+        auto r = runPolicyExperiment(cfg, t, *makePolicy("Sibyl", 2),
+                                     computeFastOnlyBaseline(cfg, t));
         EXPECT_GT(r.metrics.avgLatencyUs, 0.0) << p.name;
     }
 }

@@ -182,38 +182,60 @@ TEST(ParallelRunner, RunKeyStableAndSaltsIndependent)
               ParallelRunner::deriveStream(key, kAgentSalt));
 }
 
-TEST(ParallelRunner, LegacySeedModeMatchesSerialExperiment)
+TEST(ParallelRunner, DerivedSeedsMatchDirectPolicyExperiment)
 {
-    // deriveRunSeeds = false reproduces the legacy Experiment harness
-    // bit-for-bit: same device seed, same agent seed, same baseline.
-    RunSpec s;
-    s.policy = "CDE";
-    s.workload = "usr_0";
-    s.hssConfig = "H&M";
-    s.traceLen = 2000;
-    s.seed = 42;
+    // The seeding rule of the file header, spelled out: a direct
+    // runPolicyExperiment call whose device, agent and baseline seeds
+    // come from deriveStream() over the run key (and over the
+    // Fast-Only baseline's pseudo-spec key) reproduces the runner's
+    // record bit for bit. H&L, because the HDD's seek jitter makes the
+    // device seed observable.
+    for (const char *policy : {"CDE", "Sibyl"}) {
+        RunSpec s;
+        s.policy = policy;
+        s.workload = "usr_0";
+        s.hssConfig = "H&L";
+        s.traceLen = 2000;
+        s.seed = 42;
 
-    ParallelConfig pcfg;
-    pcfg.numThreads = 4;
-    pcfg.deriveRunSeeds = false;
-    ParallelRunner runner(pcfg);
-    const auto rec = runner.runAll({s, s, s});
+        ParallelConfig pcfg;
+        pcfg.numThreads = 4;
+        ParallelRunner runner(pcfg);
+        const auto rec = runner.runAll({s, s, s});
 
-    ExperimentConfig ecfg;
-    ecfg.hssConfig = s.hssConfig;
-    ecfg.seed = s.seed;
-    Experiment exp(ecfg);
-    trace::Trace t = trace::makeWorkload(s.workload, s.traceLen);
-    auto policy = makePolicy("CDE", exp.numDevices());
-    const auto expected = exp.run(t, *policy);
+        RunSpec baseSpec = s;
+        baseSpec.policy = "Fast-Only-baseline";
+        baseSpec.fastCapacityFrac = 1.6;
+        const std::uint64_t key = ParallelRunner::runKey(s);
+        trace::Trace t = trace::makeWorkload(s.workload, s.traceLen);
 
-    for (const auto &r : rec) {
-        EXPECT_EQ(r.result.metrics.avgLatencyUs,
-                  expected.metrics.avgLatencyUs);
-        EXPECT_EQ(r.result.normalizedLatency,
-                  expected.normalizedLatency);
-        EXPECT_EQ(r.result.metrics.placements,
-                  expected.metrics.placements);
+        ExperimentConfig ecfg;
+        ecfg.hssConfig = s.hssConfig;
+        ecfg.fastCapacityFrac = s.fastCapacityFrac;
+        ecfg.seed = ParallelRunner::deriveStream(
+            ParallelRunner::runKey(baseSpec), kDeviceJitterSalt);
+        const RunMetrics base = computeFastOnlyBaseline(ecfg, t);
+
+        ecfg.seed = ParallelRunner::deriveStream(key, kDeviceJitterSalt);
+        core::SibylConfig scfg;
+        scfg.seed = ParallelRunner::deriveStream(key, kAgentSalt);
+        auto p = makePolicy(s.policy, numHssDevices(s.hssConfig), scfg);
+        const auto expected = runPolicyExperiment(ecfg, t, *p, base);
+
+        for (const auto &r : rec) {
+            EXPECT_EQ(r.runKey, key) << policy;
+            EXPECT_EQ(r.result.metrics.avgLatencyUs,
+                      expected.metrics.avgLatencyUs)
+                << policy;
+            EXPECT_EQ(r.result.normalizedLatency,
+                      expected.normalizedLatency)
+                << policy;
+            EXPECT_EQ(r.result.normalizedIops, expected.normalizedIops)
+                << policy;
+            EXPECT_EQ(r.result.metrics.placements,
+                      expected.metrics.placements)
+                << policy;
+        }
     }
 }
 
@@ -264,27 +286,14 @@ TEST(ParallelRunner, UnknownPolicyBecomesStructuredFailureRecord)
     // The diagnostic names the phase and carries the original what().
     EXPECT_EQ(records[1].error.rfind("policy: ", 0), 0u);
     EXPECT_NE(records[1].error.find("NoSuchPolicy"), std::string::npos);
-    // A deterministic failure burns the whole retry budget.
-    EXPECT_EQ(records[1].attempts, cfg.maxAttempts);
+    // A deterministic failure burns the whole retry budget (2).
+    EXPECT_EQ(records[1].attempts, 2u);
     // Failed records serialize as identity + status/error/attempts.
     std::ostringstream os;
     writeResultsJson(os, records);
     EXPECT_NE(os.str().find("\"status\": \"failed\""),
               std::string::npos);
     EXPECT_NE(os.str().find("\"error\": "), std::string::npos);
-}
-
-TEST(ParallelRunner, LegacyFailFastStillAvailable)
-{
-    ExperimentMatrix m;
-    m.policies = {"CDE", "NoSuchPolicy"};
-    m.workloads = {"usr_0"};
-    m.traceLen = 500;
-    ParallelConfig cfg;
-    cfg.numThreads = 4;
-    cfg.isolateFailures = false;
-    ParallelRunner runner(cfg);
-    EXPECT_THROW(runner.runMatrix(m), std::invalid_argument);
 }
 
 TEST(ParallelRunner, FailedRunLeavesOtherRunsBitExact)

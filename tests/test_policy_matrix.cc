@@ -23,10 +23,12 @@ runPolicy(const std::string &name, const std::string &config,
 {
     sim::ExperimentConfig cfg;
     cfg.hssConfig = config;
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload(workload, requests);
-    auto policy = sim::makePolicy(name, exp.numDevices());
-    return exp.run(t, *policy).normalizedLatency;
+    auto policy = sim::makePolicy(
+        name, sim::numHssDevices(cfg.hssConfig, cfg.fastCapacityFrac));
+    return sim::runPolicyExperiment(cfg, t, *policy,
+                                    sim::computeFastOnlyBaseline(cfg, t))
+        .normalizedLatency;
 }
 
 // ---------------------------------------------------------------------
@@ -97,9 +99,11 @@ TEST(CapacityMonotonicity, OracleImprovesWithCapacity)
         sim::ExperimentConfig cfg;
         cfg.hssConfig = "H&L";
         cfg.fastCapacityFrac = frac;
-        sim::Experiment exp(cfg);
-        auto policy = sim::makePolicy("Oracle", exp.numDevices());
-        const double lat = exp.run(t, *policy).normalizedLatency;
+        auto policy = sim::makePolicy("Oracle", 2);
+        const double lat =
+            sim::runPolicyExperiment(cfg, t, *policy,
+                                     sim::computeFastOnlyBaseline(cfg, t))
+                .normalizedLatency;
         EXPECT_LT(lat, prev * 1.02) << "capacity " << frac;
         prev = lat;
     }
@@ -120,19 +124,20 @@ TEST_P(TriConfigTest, SibylAndHeuristicFunctional)
     sim::ExperimentConfig cfg;
     cfg.hssConfig = GetParam();
     cfg.fastCapacityFrac = 0.05; // §8.7 restricts H to 5%
-    sim::Experiment exp(cfg);
-    ASSERT_EQ(exp.numDevices(), 3u);
+    const std::uint32_t numDevices =
+        sim::numHssDevices(cfg.hssConfig, cfg.fastCapacityFrac);
+    ASSERT_EQ(numDevices, 3u);
     trace::Trace t = trace::makeWorkload("rsrch_0", 6000);
+    const auto base = sim::computeFastOnlyBaseline(cfg, t);
 
-    auto heuristic =
-        sim::makePolicy("Heuristic-Tri-Hybrid", exp.numDevices());
-    const auto hr = exp.run(t, *heuristic);
+    auto heuristic = sim::makePolicy("Heuristic-Tri-Hybrid", numDevices);
+    const auto hr = sim::runPolicyExperiment(cfg, t, *heuristic, base);
     EXPECT_EQ(hr.metrics.placements.size(), 3u);
 
-    core::SibylPolicy sibyl(core::SibylConfig(), exp.numDevices());
-    const auto sr = exp.run(t, sibyl);
-    auto slowOnly = sim::makePolicy("Slow-Only", exp.numDevices());
-    const auto so = exp.run(t, *slowOnly);
+    core::SibylPolicy sibyl(core::SibylConfig(), numDevices);
+    const auto sr = sim::runPolicyExperiment(cfg, t, sibyl, base);
+    auto slowOnly = sim::makePolicy("Slow-Only", numDevices);
+    const auto so = sim::runPolicyExperiment(cfg, t, *slowOnly, base);
     EXPECT_LT(sr.normalizedLatency, so.normalizedLatency);
 }
 
@@ -148,12 +153,13 @@ TEST(EvictionStructure, CdeEvictsMoreThanConservativeBaselines)
 {
     sim::ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", 8000);
+    const auto base = sim::computeFastOnlyBaseline(cfg, t);
 
     auto evictions = [&](const char *name) {
-        auto policy = sim::makePolicy(name, exp.numDevices());
-        return exp.run(t, *policy).metrics.evictionFraction;
+        auto policy = sim::makePolicy(name, 2);
+        return sim::runPolicyExperiment(cfg, t, *policy, base)
+            .metrics.evictionFraction;
     };
     const double cde = evictions("CDE");
     EXPECT_GT(cde, evictions("HPS"));

@@ -92,11 +92,11 @@ TEST_P(PolicyMetricsTest, MetricsWellFormed)
 {
     sim::ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", 3000);
 
-    auto policy = sim::makePolicy(GetParam(), exp.numDevices());
-    const auto r = exp.run(t, *policy);
+    auto policy = sim::makePolicy(GetParam(), 2);
+    const auto r = sim::runPolicyExperiment(
+        cfg, t, *policy, sim::computeFastOnlyBaseline(cfg, t));
     const auto &m = r.metrics;
 
     EXPECT_EQ(m.requests, t.size());
@@ -122,7 +122,7 @@ TEST_P(PolicyMetricsTest, MetricsWellFormed)
     EXPECT_GE(r.normalizedLatency, 0.9);
 
     // Energy/write accounting present for each device.
-    ASSERT_EQ(r.devicePagesWritten.size(), exp.numDevices());
+    ASSERT_EQ(r.devicePagesWritten.size(), 2u);
     EXPECT_GT(r.totalEnergyMj, 0.0);
 }
 
@@ -185,12 +185,12 @@ TEST_P(DeterminismTest, RepeatRunsAreBitIdentical)
     auto once = [&] {
         sim::ExperimentConfig cfg;
         cfg.hssConfig = "H&M";
-        sim::Experiment exp(cfg);
         trace::Trace t = trace::makeWorkload("prxy_1", 4000);
         core::SibylConfig scfg;
         scfg.agentKind = GetParam();
-        core::SibylPolicy sibyl(scfg, exp.numDevices());
-        return exp.run(t, sibyl);
+        core::SibylPolicy sibyl(scfg, 2);
+        return sim::runPolicyExperiment(
+            cfg, t, sibyl, sim::computeFastOnlyBaseline(cfg, t));
     };
     const auto a = once();
     const auto b = once();

@@ -57,14 +57,9 @@ TEST(QuadConfig, CapacityLadderRestrictsUpperTiers)
 
 TEST(QuadConfig, ExperimentReportsFourDevices)
 {
-    sim::ExperimentConfig cfg;
-    cfg.hssConfig = "H&M&L_SSD&L";
-    EXPECT_EQ(sim::Experiment(cfg).numDevices(), 4u);
-
-    cfg.hssConfig = "H&M&L";
-    EXPECT_EQ(sim::Experiment(cfg).numDevices(), 3u);
-    cfg.hssConfig = "H&L";
-    EXPECT_EQ(sim::Experiment(cfg).numDevices(), 2u);
+    EXPECT_EQ(sim::numHssDevices("H&M&L_SSD&L"), 4u);
+    EXPECT_EQ(sim::numHssDevices("H&M&L"), 3u);
+    EXPECT_EQ(sim::numHssDevices("H&L"), 2u);
 }
 
 TEST(QuadConfig, StateEncoderGainsOneFeaturePerExtraDevice)
@@ -179,12 +174,12 @@ TEST(QuadSibyl, RunsEndToEndAndUsesAllTiers)
     sim::ExperimentConfig cfg;
     cfg.hssConfig = "H&M&L_SSD&L";
     cfg.fastCapacityFrac = 0.05;
-    sim::Experiment exp(cfg);
 
     core::SibylConfig scfg;
     scfg.epsilon = 0.05; // enough exploration to visit every action
-    core::SibylPolicy sibyl(scfg, exp.numDevices());
-    const auto r = exp.run(t, sibyl);
+    core::SibylPolicy sibyl(scfg, 4);
+    const auto r = sim::runPolicyExperiment(
+        cfg, t, sibyl, sim::computeFastOnlyBaseline(cfg, t));
 
     EXPECT_EQ(r.metrics.requests, t.size());
     EXPECT_GT(r.normalizedLatency, 0.0);
@@ -205,14 +200,14 @@ TEST(QuadSibyl, BeatsMistunedHeuristicOnHotWorkload)
     sim::ExperimentConfig cfg;
     cfg.hssConfig = "H&M&L_SSD&L";
     cfg.fastCapacityFrac = 0.05;
-    sim::Experiment exp(cfg);
+    const auto base = sim::computeFastOnlyBaseline(cfg, t);
 
     policies::MultiTierHeuristicPolicy mistuned({4096, 1024, 256});
-    const auto hr = exp.run(t, mistuned);
+    const auto hr = sim::runPolicyExperiment(cfg, t, mistuned, base);
 
     core::SibylConfig scfg;
-    core::SibylPolicy sibyl(scfg, exp.numDevices());
-    const auto sr = exp.run(t, sibyl);
+    core::SibylPolicy sibyl(scfg, 4);
+    const auto sr = sim::runPolicyExperiment(cfg, t, sibyl, base);
 
     EXPECT_LT(sr.normalizedLatency, hr.normalizedLatency);
 }

@@ -153,48 +153,44 @@ TEST(Simulator, QueueDepthBackPressureInvariant)
     }
 }
 
-TEST(Experiment, NormalizationAgainstFastOnly)
+TEST(PolicyExperiment, NormalizationAgainstFastOnly)
 {
     ExperimentConfig cfg;
     cfg.hssConfig = "H&M";
-    Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("usr_0", 3000);
+    const RunMetrics base = computeFastOnlyBaseline(cfg, t);
 
-    auto slow = makePolicy("Slow-Only", exp.numDevices());
-    auto r = exp.run(t, *slow);
+    auto slow = makePolicy("Slow-Only", numHssDevices(cfg.hssConfig));
+    auto r = runPolicyExperiment(cfg, t, *slow, base);
     EXPECT_GT(r.normalizedLatency, 1.0); // slower than Fast-Only
     EXPECT_LT(r.normalizedIops, 1.001);
     EXPECT_EQ(r.policy, "Slow-Only");
     EXPECT_EQ(r.workload, "usr_0");
+    EXPECT_EQ(r.normalizedLatency,
+              r.metrics.avgLatencyUs / base.avgLatencyUs);
+    EXPECT_EQ(r.normalizedIops, r.metrics.iops / base.iops);
 
-    // The baseline is cached: same object on repeat.
-    const RunMetrics &b1 = exp.fastOnlyBaseline(t);
-    const RunMetrics &b2 = exp.fastOnlyBaseline(t);
-    EXPECT_EQ(&b1, &b2);
+    // The baseline is a pure function of (cfg, trace).
+    EXPECT_EQ(computeFastOnlyBaseline(cfg, t).avgLatencyUs,
+              base.avgLatencyUs);
 }
 
-TEST(Experiment, DeviceCountFromConfigString)
+TEST(PolicyExperiment, DeviceCountFromConfigString)
 {
-    ExperimentConfig dual;
-    dual.hssConfig = "H&L";
-    EXPECT_EQ(Experiment(dual).numDevices(), 2u);
-    ExperimentConfig tri;
-    tri.hssConfig = "H&M&L";
-    EXPECT_EQ(Experiment(tri).numDevices(), 3u);
-    ExperimentConfig triSsd;
-    triSsd.hssConfig = "H&M&L_SSD";
-    EXPECT_EQ(Experiment(triSsd).numDevices(), 3u);
+    EXPECT_EQ(numHssDevices("H&L"), 2u);
+    EXPECT_EQ(numHssDevices("H&M&L"), 3u);
+    EXPECT_EQ(numHssDevices("H&M&L_SSD"), 3u);
 }
 
-TEST(Experiment, SpecTweakAppliesToPolicyRunsOnly)
+TEST(PolicyExperiment, SpecTweakAppliesToPolicyRunsOnly)
 {
     trace::Trace t = trace::makeWorkload("usr_0", 2000);
 
     ExperimentConfig plain;
     plain.hssConfig = "H&M";
-    Experiment plainExp(plain);
+    const RunMetrics base = computeFastOnlyBaseline(plain, t);
     auto cde1 = makePolicy("CDE", 2);
-    const auto healthy = plainExp.run(t, *cde1);
+    const auto healthy = runPolicyExperiment(plain, t, *cde1, base);
 
     // Permanently degrade the fast device via the tweak hook: policy
     // runs slow down, but Fast-Only normalization stays the healthy
@@ -203,9 +199,10 @@ TEST(Experiment, SpecTweakAppliesToPolicyRunsOnly)
     tweaked.specTweak = [](std::vector<device::DeviceSpec> &specs) {
         specs[0].faults.windows.push_back({0.0, 1e15, 20.0});
     };
-    Experiment tweakedExp(tweaked);
+    EXPECT_EQ(computeFastOnlyBaseline(tweaked, t).avgLatencyUs,
+              base.avgLatencyUs);
     auto cde2 = makePolicy("CDE", 2);
-    const auto degraded = tweakedExp.run(t, *cde2);
+    const auto degraded = runPolicyExperiment(tweaked, t, *cde2, base);
 
     EXPECT_GT(degraded.metrics.avgLatencyUs,
               healthy.metrics.avgLatencyUs * 2.0);

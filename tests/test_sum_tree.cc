@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -87,6 +88,32 @@ TEST(SumTree, ClearResets)
 // p^alpha distribution (chi-squared goodness of fit), and each other.
 // ---------------------------------------------------------------------
 
+/**
+ * Reference prioritized sampler: rebuilds an O(N) prefix-sum array of
+ * priority^alpha (+1e-8, the buffer's transform) and draws by
+ * lower_bound, as the replay buffer did before the sum tree.
+ */
+std::vector<std::size_t>
+samplePrefixSum(const ReplayBuffer &buf, std::size_t n, Pcg32 &rng,
+                double alpha)
+{
+    std::vector<double> cum(buf.size());
+    double total = 0.0;
+    for (std::size_t i = 0; i < buf.size(); i++) {
+        total += std::pow(static_cast<double>(buf.priority(i)), alpha) +
+                 1e-8;
+        cum[i] = total;
+    }
+    std::vector<std::size_t> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; i++) {
+        const double u = rng.nextDouble() * total;
+        const auto it = std::lower_bound(cum.begin(), cum.end(), u);
+        out.push_back(static_cast<std::size_t>(it - cum.begin()));
+    }
+    return out;
+}
+
 double
 chiSquared(const std::vector<std::size_t> &draws, std::size_t bins,
            const std::vector<double> &expectedProb, std::size_t n)
@@ -126,8 +153,7 @@ TEST(PrioritizedSumTree, MatchesPrefixSumDistribution)
     Pcg32 rngTree(2024);
     Pcg32 rngPrefix(2024);
     const auto treeDraws = buf.samplePrioritizedIndices(n, rngTree, alpha);
-    const auto prefixDraws =
-        buf.samplePrioritizedIndicesPrefixSum(n, rngPrefix, alpha);
+    const auto prefixDraws = samplePrefixSum(buf, n, rngPrefix, alpha);
 
     // df = 7; chi² > 24.3 would reject at p = 0.001. Fixed seed, so
     // this is deterministic, not flaky.
