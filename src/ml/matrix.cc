@@ -427,6 +427,60 @@ Matrix::matmulTransposed(const Matrix &b, Matrix &out) const
 namespace
 {
 
+/**
+ * Wide body of transposedMatmulAdd(): out[c, j] += sum_r a[r, c] *
+ * b[r, j] with the batch dimension r outermost, so delta rows and
+ * input rows stream contiguously and each output row is revisited
+ * once per 4-row group. Every out[c, j] still receives the same adds
+ * in the same order — 4-row groups ((a0b0 + a1b1) + (a2b2 + a3b3))
+ * in ascending r, then single tail rows — so moving r outside c
+ * changes no result bit. @p N > 0 fixes the width at compile time
+ * (the j-sweep then unrolls fully with no loop epilogue); N == 0
+ * reads it from @p nRun.
+ */
+template <std::size_t N>
+[[gnu::always_inline]] inline void
+transposedMatmulAddRows(const float *__restrict adata,
+                        const float *__restrict bdata,
+                        float *__restrict odata, std::size_t m,
+                        std::size_t cols, std::size_t nRun, float scale)
+{
+    const std::size_t n = N ? N : nRun;
+    std::size_t r = 0;
+    for (; r + 4 <= m; r += 4) {
+        const float *ar0 = adata + r * cols;
+        const float *ar1 = ar0 + cols;
+        const float *ar2 = ar1 + cols;
+        const float *ar3 = ar2 + cols;
+        const float *b0 = bdata + r * n;
+        const float *b1 = b0 + n;
+        const float *b2 = b1 + n;
+        const float *b3 = b2 + n;
+        for (std::size_t c = 0; c < cols; c++) {
+            const float a0 = ar0[c] * scale;
+            const float a1 = ar1[c] * scale;
+            const float a2 = ar2[c] * scale;
+            const float a3 = ar3[c] * scale;
+            float *orow = odata + c * n;
+#pragma GCC ivdep
+            for (std::size_t j = 0; j < n; j++)
+                orow[j] += (a0 * b0[j] + a1 * b1[j]) +
+                           (a2 * b2[j] + a3 * b3[j]);
+        }
+    }
+    for (; r < m; r++) {
+        const float *ar = adata + r * cols;
+        const float *brow = bdata + r * n;
+        for (std::size_t c = 0; c < cols; c++) {
+            const float av = ar[c] * scale;
+            float *orow = odata + c * n;
+#pragma GCC ivdep
+            for (std::size_t j = 0; j < n; j++)
+                orow[j] += av * brow[j];
+        }
+    }
+}
+
 /** Body of transposedMatmulAdd() (see member doc); ISA-cloned free
  *  function like the forward kernels. */
 SIBYL_KERNEL_CLONES
@@ -455,30 +509,21 @@ transposedMatmulAddImpl(const float *__restrict adata,
         }
         return;
     }
-    for (std::size_t c = 0; c < cols; c++) {
-        float *orow = odata + c * n;
-        std::size_t r = 0;
-        for (; r + 4 <= m; r += 4) {
-            const float a0 = adata[r * cols + c] * scale;
-            const float a1 = adata[(r + 1) * cols + c] * scale;
-            const float a2 = adata[(r + 2) * cols + c] * scale;
-            const float a3 = adata[(r + 3) * cols + c] * scale;
-            const float *b0 = bdata + r * n;
-            const float *b1 = b0 + n;
-            const float *b2 = b1 + n;
-            const float *b3 = b2 + n;
-#pragma GCC ivdep
-            for (std::size_t j = 0; j < n; j++)
-                orow[j] += (a0 * b0[j] + a1 * b1[j]) +
-                           (a2 * b2[j] + a3 * b3[j]);
-        }
-        for (; r < m; r++) {
-            const float av = adata[r * cols + c] * scale;
-            const float *brow = bdata + r * n;
-#pragma GCC ivdep
-            for (std::size_t j = 0; j < n; j++)
-                orow[j] += av * brow[j];
-        }
+    // Compile-time widths for the default 6-20-30-102 net's hidden
+    // fan-ins, which the sibyl_single benchmark trains (128x102x30 on
+    // a scratch probe: 70 us column-wise, 64 us row-outer with a
+    // runtime width, 28 us with a compile-time one). Other widths take
+    // the runtime-width sweep.
+    switch (n) {
+      case 20:
+        transposedMatmulAddRows<20>(adata, bdata, odata, m, cols, n, scale);
+        return;
+      case 30:
+        transposedMatmulAddRows<30>(adata, bdata, odata, m, cols, n, scale);
+        return;
+      default:
+        transposedMatmulAddRows<0>(adata, bdata, odata, m, cols, n, scale);
+        return;
     }
 }
 
@@ -490,13 +535,6 @@ Matrix::transposedMatmulAdd(const Matrix &b, Matrix &out, float scale) const
     assert(rows_ == b.rows_);
     assert(out.rows_ == cols_ && out.cols_ == b.cols_);
     assert(&out != this && &out != &b);
-    // out[c, j] += scale * sum_r A[r, c] * B[r, j]. c-outer with the
-    // batch dimension r unrolled by 4 keeps the j-inner writes
-    // contiguous in one output row while retiring 4 FMA streams per
-    // iteration; same restrict/ivdep treatment as matmul(). (No
-    // zero-skip here: column-major access to A makes per-element
-    // skips branchy and they defeat the unroll; the per-sample
-    // addOuter() path keeps its row skip.)
     transposedMatmulAddImpl(data_.data(), b.data_.data(), out.data_.data(),
                             rows_, cols_, b.cols_, scale);
 }

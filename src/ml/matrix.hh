@@ -87,7 +87,11 @@ class Matrix
      * out += scale * A^T * B. Requires rows == b.rows and
      * out.rows == cols, out.cols == b.cols. This is the batched weight-
      * gradient kernel: delta^T (out x batch) times inputs (batch x in)
-     * accumulated into gradW. @p out must not alias A or B.
+     * accumulated into gradW. Each output element sums the batch rows
+     * in 4-row groups ((a0b0 + a1b1) + (a2b2 + a3b3)) in ascending
+     * order, then the leftover rows one at a time (outputs at most 8
+     * wide instead sum every row into a zero-seeded accumulator that
+     * is added last). @p out must not alias A or B.
      */
     void transposedMatmulAdd(const Matrix &b, Matrix &out,
                              float scale) const;

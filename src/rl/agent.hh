@@ -88,9 +88,13 @@ struct AgentConfig
      * each row's result independent of batch composition. Resampling
      * rates here are high (each training round draws batchSize x
      * batchesPerTraining from a bufferCapacity ring), so most target
-     * evaluations between syncs are repeats. Disabled automatically
-     * for Double DQN, whose action selection tracks the training
-     * network.
+     * evaluations between syncs are repeats. The C51 agent also
+     * shares work across entries: the forward, softmax and argmax
+     * run once per distinct next-state observation per sync period
+     * (binned observations recur), and each entry only projects the
+     * shared next-state distribution under its own reward — exact for
+     * the same reason. Disabled automatically for Double DQN, whose
+     * action selection tracks the training network.
      */
     bool cacheNextValues = true;
 

@@ -1,6 +1,8 @@
 #include "rl/c51_agent.hh"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
 
 #include "ml/activations.hh"
 #include "ml/loss.hh"
@@ -225,29 +227,28 @@ C51Agent::trainRound()
 double
 C51Agent::trainBatch()
 {
-    const auto indices = cfg_.prioritizedReplay
-        ? buffer_.samplePrioritizedIndices(cfg_.batchSize, rng_,
-                                           cfg_.perAlpha)
-        : buffer_.sampleIndices(cfg_.batchSize, rng_);
-    if (indices.empty())
+    if (cfg_.prioritizedReplay)
+        buffer_.samplePrioritizedIndices(cfg_.batchSize, rng_,
+                                         cfg_.perAlpha, indices_);
+    else
+        buffer_.sampleIndices(cfg_.batchSize, rng_, indices_);
+    if (indices_.empty())
         return 0.0;
-    return cfg_.batchedTraining ? trainBatchBatched(indices)
-                                : trainBatchPerSample(indices);
+    return cfg_.batchedTraining ? trainBatchBatched(indices_)
+                                : trainBatchPerSample(indices_);
 }
 
 void
-C51Agent::projectTargetFromRow(const float *nrow, float reward,
-                               ml::Vector &dists, ml::Vector &target)
+C51Agent::greedyNextDist(const float *nrow, float *dist)
 {
     // Greedy next action by distribution expectation. Softmax every
     // action group once into one scratch buffer; the winner's
-    // distribution is then reused for the projection instead of
-    // being recomputed.
-    dists.assign(nrow, nrow + cfg_.numActions * cfg_.atoms);
+    // distribution is then copied out instead of being recomputed.
+    nextDists_.assign(nrow, nrow + cfg_.numActions * cfg_.atoms);
     std::uint32_t bestA = 0;
     double bestQ = -1e30;
     for (std::uint32_t a = 0; a < cfg_.numActions; a++) {
-        float *d = dists.data() + a * cfg_.atoms;
+        float *d = nextDists_.data() + a * cfg_.atoms;
         ml::softmax(d, cfg_.atoms);
         const double q = support_.expectation(d);
         if (q > bestQ) {
@@ -255,8 +256,106 @@ C51Agent::projectTargetFromRow(const float *nrow, float reward,
             bestA = a;
         }
     }
-    support_.project(dists.data() + bestA * cfg_.atoms, reward, cfg_.gamma,
-                     target);
+    const float *win = nextDists_.data() + bestA * cfg_.atoms;
+    std::copy(win, win + cfg_.atoms, dist);
+}
+
+void
+C51Agent::clearNextMemo()
+{
+    std::fill(memoKeys_.begin(), memoKeys_.end(), 0);
+    memoCount_ = 0;
+}
+
+void
+C51Agent::refreshCachedTargets(const std::vector<std::size_t> &indices)
+{
+    // Sized from the buffer's actual capacity (which clamps a zero
+    // config to 1), so slot indices always fit.
+    const std::size_t cap = buffer_.capacity();
+    if (targetValid_.size() != cap) {
+        targetCache_.resize(cap, cfg_.atoms);
+        targetValid_.assign(cap, 0);
+        memoDist_ =
+            std::make_unique_for_overwrite<float[]>(cap * cfg_.atoms);
+        memoObs_ =
+            std::make_unique_for_overwrite<float[]>(cap * cfg_.stateDim);
+        std::size_t slots = 16;
+        while (slots < 2 * cap)
+            slots <<= 1;
+        memoKeys_.assign(slots, 0);
+        memoVals_.assign(slots, 0);
+        memoCount_ = 0;
+    }
+    uncachedRows_.clear();
+    for (const std::size_t idx : indices) {
+        if (!targetValid_[idx]) {
+            targetValid_[idx] = 2; // queued this batch
+            uncachedRows_.push_back(idx);
+        }
+    }
+    if (uncachedRows_.empty())
+        return;
+
+    // Map each uncached entry to the memo slot of its next state.
+    // Distinct observations per sync period can outgrow the flat
+    // store (the ring turns over between syncs); starting the memo
+    // over is exact, it only recomputes. The uncached entries are
+    // distinct ring slots, so they always fit a fresh memo.
+    if (memoCount_ + uncachedRows_.size() > cap)
+        clearNextMemo();
+    const std::size_t mask = memoKeys_.size() - 1;
+    const std::size_t dim = cfg_.stateDim;
+    const std::size_t atoms = cfg_.atoms;
+    memoMisses_.clear();
+    entrySlot_.resize(uncachedRows_.size());
+    for (std::size_t u = 0; u < uncachedRows_.size(); u++) {
+        const ml::Vector &ns = buffer_[uncachedRows_[u]].nextState;
+        assert(ns.size() == dim);
+        std::uint64_t h = hashObservation(ns);
+        h += h == 0; // 0 is the empty-slot sentinel
+        std::size_t slot = h & mask;
+        std::uint32_t found = 0xFFFFFFFFu;
+        while (memoKeys_[slot] != 0) {
+            if (memoKeys_[slot] == h &&
+                std::memcmp(memoObs_.get() + memoVals_[slot] * dim,
+                            ns.data(), dim * sizeof(float)) == 0) {
+                found = memoVals_[slot];
+                break;
+            }
+            slot = (slot + 1) & mask;
+        }
+        if (found == 0xFFFFFFFFu) {
+            found = static_cast<std::uint32_t>(memoCount_++);
+            memoKeys_[slot] = h;
+            memoVals_[slot] = found;
+            std::copy(ns.begin(), ns.end(), memoObs_.get() + found * dim);
+            memoMisses_.push_back(found);
+        }
+        entrySlot_[u] = found;
+    }
+
+    // One batched forward over the next states not seen since the
+    // sync; rows are composition-independent, so each stored
+    // distribution equals a fresh evaluation bit for bit.
+    if (!memoMisses_.empty()) {
+        nextBatch_.resize(memoMisses_.size(), dim);
+        for (std::size_t m = 0; m < memoMisses_.size(); m++) {
+            const float *obs = memoObs_.get() + memoMisses_[m] * dim;
+            std::copy(obs, obs + dim, nextBatch_.row(m));
+        }
+        const ml::Matrix &fresh = inferenceNet_->infer(nextBatch_);
+        for (std::size_t m = 0; m < memoMisses_.size(); m++)
+            greedyNextDist(fresh.row(m),
+                           memoDist_.get() + memoMisses_[m] * atoms);
+    }
+    for (std::size_t u = 0; u < uncachedRows_.size(); u++) {
+        const std::size_t idx = uncachedRows_[u];
+        support_.project(memoDist_.get() + entrySlot_[u] * atoms,
+                         buffer_[idx].reward, cfg_.gamma,
+                         targetCache_.row(idx));
+        targetValid_[idx] = 1;
+    }
 }
 
 double
@@ -265,6 +364,7 @@ C51Agent::trainBatchBatched(const std::vector<std::size_t> &indices)
     const std::size_t batch = indices.size();
     const bool useCache = cfg_.cacheNextValues;
     const bool fold = cfg_.foldDuplicateStates;
+    const std::uint32_t atoms = cfg_.atoms;
 
     // Duplicate-state folding, as in DqnAgent::trainBatchBatched
     // (see buildStateFoldMap in agent.hh).
@@ -279,57 +379,34 @@ C51Agent::trainBatchBatched(const std::vector<std::size_t> &indices)
         const Experience &e = buffer_[fold ? uniqueIdx_[r] : indices[r]];
         std::copy(e.state.begin(), e.state.end(), stateBatch_.row(r));
     }
-    if (!useCache) {
+
+    // Bellman targets from the *inference* network (frozen between
+    // syncs, playing the target-network role). With the target cache
+    // (the default), only entries not yet projected under the current
+    // frozen weights are projected, and only their next states not
+    // yet evaluated this sync period run the forward + softmax +
+    // argmax; everything else reuses its cached bits.
+    targetRows_.resize(batch);
+    if (useCache) {
+        refreshCachedTargets(indices);
+        for (std::size_t r = 0; r < batch; r++)
+            targetRows_[r] = targetCache_.row(indices[r]);
+    } else {
         nextBatch_.resize(batch, cfg_.stateDim);
         for (std::size_t r = 0; r < batch; r++) {
             const Experience &e = buffer_[indices[r]];
             std::copy(e.nextState.begin(), e.nextState.end(),
                       nextBatch_.row(r));
         }
-    }
-
-    // Bellman targets from the *inference* network (frozen between
-    // syncs, playing the target-network role). With the target cache
-    // (the default), only entries not yet projected under the current
-    // frozen weights run the batched forward + softmax + argmax +
-    // projection; everything resampled since the last sync reuses its
-    // slot in targetCache_ bit for bit (the batched row kernels make
-    // each row independent of batch composition, and reward/gamma are
-    // entry-fixed).
-    ml::Vector dists, target, logits, gradLogits;
-    const ml::Matrix *nextOut = nullptr;
-    if (useCache) {
-        // Sized from the buffer's actual capacity (which clamps a
-        // zero config to 1), so slot indices always fit.
-        targetCache_.resize(buffer_.capacity(), cfg_.atoms);
-        targetValid_.resize(buffer_.capacity(), 0);
-        uncachedRows_.clear();
+        const ml::Matrix &nextOut = inferenceNet_->infer(nextBatch_);
+        freshTargets_.resize(batch, atoms);
+        rowDist_.resize(atoms);
         for (std::size_t r = 0; r < batch; r++) {
-            const std::size_t idx = indices[r];
-            if (!targetValid_[idx]) {
-                targetValid_[idx] = 2; // queued this batch
-                uncachedRows_.push_back(idx);
-            }
+            greedyNextDist(nextOut.row(r), rowDist_.data());
+            support_.project(rowDist_.data(), buffer_[indices[r]].reward,
+                             cfg_.gamma, freshTargets_.row(r));
+            targetRows_[r] = freshTargets_.row(r);
         }
-        if (!uncachedRows_.empty()) {
-            nextBatch_.resize(uncachedRows_.size(), cfg_.stateDim);
-            for (std::size_t r = 0; r < uncachedRows_.size(); r++) {
-                const Experience &e = buffer_[uncachedRows_[r]];
-                std::copy(e.nextState.begin(), e.nextState.end(),
-                          nextBatch_.row(r));
-            }
-            const ml::Matrix &fresh = inferenceNet_->infer(nextBatch_);
-            for (std::size_t r = 0; r < uncachedRows_.size(); r++) {
-                const std::size_t idx = uncachedRows_[r];
-                projectTargetFromRow(fresh.row(r), buffer_[idx].reward,
-                                     dists, target);
-                std::copy(target.begin(), target.end(),
-                          targetCache_.row(idx));
-                targetValid_[idx] = 1;
-            }
-        }
-    } else {
-        nextOut = &inferenceNet_->infer(nextBatch_);
     }
 
     // The state forward through the training network comes last so its
@@ -341,42 +418,36 @@ C51Agent::trainBatchBatched(const std::vector<std::size_t> &indices)
 
     // PER importance weights come from the distribution the batch was
     // sampled under, before the per-element priority refreshes below.
-    std::vector<double> perWeights;
-    if (cfg_.prioritizedReplay)
-        perWeights = buffer_.importanceWeights(indices, cfg_.perAlpha,
-                                               cfg_.perBeta);
+    rowWeight_.assign(batch, 1.0f);
+    if (cfg_.prioritizedReplay) {
+        buffer_.importanceWeights(indices, cfg_.perAlpha, cfg_.perBeta,
+                                  perWeights_);
+        for (std::size_t r = 0; r < batch; r++)
+            rowWeight_[r] = static_cast<float>(perWeights_[r]);
+    }
+
+    // Cross-entropy between the projected target and the training
+    // network's prediction for the taken action, all rows at once;
+    // the weighted gradient flows only into that action's atom group.
+    logitRows_.resize(batch);
+    gradRows_.resize(batch);
+    for (std::size_t r = 0; r < batch; r++) {
+        const std::size_t ui = fold ? rowToUnique_[r] : r;
+        const std::size_t off = buffer_[indices[r]].action * atoms;
+        logitRows_[r] = out.row(ui) + off;
+        gradRows_[r] = gradOutM_.row(ui) + off;
+    }
+    rowLoss_.resize(batch);
+    ml::softmaxCrossEntropyRows(logitRows_.data(), targetRows_.data(),
+                                rowWeight_.data(), gradRows_.data(), batch,
+                                atoms, rowLoss_.data(), lossTile_);
 
     double totalLoss = 0.0;
     for (std::size_t r = 0; r < batch; r++) {
-        const std::size_t idx = indices[r];
-        const std::size_t ui = fold ? rowToUnique_[r] : r;
-        const Experience &e = buffer_[idx];
-
-        if (useCache) {
-            const float *trow = targetCache_.row(idx);
-            target.assign(trow, trow + cfg_.atoms);
-        } else {
-            projectTargetFromRow(nextOut->row(r), e.reward, dists, target);
-        }
-
-        // Cross-entropy between the projected target and the training
-        // network's prediction for the taken action; gradient flows only
-        // through that action's atom group.
-        logits.assign(out.row(ui) + e.action * cfg_.atoms,
-                      out.row(ui) + (e.action + 1) * cfg_.atoms);
-        const double loss =
-            ml::softmaxCrossEntropy(logits, target, gradLogits);
+        const double loss = rowLoss_[r];
         totalLoss += loss;
-
-        float weight = 1.0f;
-        if (cfg_.prioritizedReplay) {
-            weight = static_cast<float>(perWeights[r]);
-            buffer_.setPriority(idx, static_cast<float>(loss));
-        }
-
-        float *grow = gradOutM_.row(ui);
-        for (std::size_t k = 0; k < gradLogits.size(); k++)
-            grow[e.action * cfg_.atoms + k] += gradLogits[k] * weight;
+        if (cfg_.prioritizedReplay)
+            buffer_.setPriority(indices[r], static_cast<float>(loss));
     }
 
     trainingNet_->backward(gradOutM_);
@@ -390,10 +461,9 @@ C51Agent::trainBatchPerSample(const std::vector<std::size_t> &indices)
 {
     // Same sampling-time importance weights as the batched path, so
     // the two paths stay numerically equivalent.
-    std::vector<double> perWeights;
     if (cfg_.prioritizedReplay)
-        perWeights = buffer_.importanceWeights(indices, cfg_.perAlpha,
-                                               cfg_.perBeta);
+        buffer_.importanceWeights(indices, cfg_.perAlpha, cfg_.perBeta,
+                                  perWeights_);
 
     double totalLoss = 0.0;
     ml::Vector nextDist, target, gradOut;
@@ -432,7 +502,7 @@ C51Agent::trainBatchPerSample(const std::vector<std::size_t> &indices)
         if (cfg_.prioritizedReplay) {
             // Importance-sample to correct the prioritization bias and
             // refresh the entry's priority with its latest loss.
-            weight = static_cast<float>(perWeights[k]);
+            weight = static_cast<float>(perWeights_[k]);
             buffer_.setPriority(idx, static_cast<float>(loss));
         }
 
@@ -451,9 +521,10 @@ C51Agent::syncWeights()
 {
     inferenceNet_->copyWeightsFrom(*trainingNet_);
     stats_.weightSyncs++;
-    // The frozen network the cached projected targets came from is
-    // gone.
+    // The frozen network the cached projected targets and next-state
+    // distributions came from is gone.
     std::fill(targetValid_.begin(), targetValid_.end(), 0);
+    clearNextMemo();
 }
 
 std::size_t

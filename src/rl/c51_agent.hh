@@ -123,14 +123,22 @@ class C51Agent final : public Agent
      *  argmax — allocation-free. */
     std::uint32_t greedyFromRow(const float *out);
 
-    /** Greedy-next-action selection + Bellman projection for one
-     *  inference-network output row: softmax every action's atom
-     *  group into @p dists, pick the argmax by expectation, project
-     *  the winner under (reward, gamma) into @p target. One
-     *  definition shared by the cache-fill and legacy target paths,
-     *  so the cache-on/off bit-equality cannot drift. */
-    void projectTargetFromRow(const float *nrow, float reward,
-                              ml::Vector &dists, ml::Vector &target);
+    /** Greedy-next-action selection for one inference-network output
+     *  row: softmax every action's atom group, pick the argmax by
+     *  expectation (first max wins), copy the winner's distribution
+     *  to @p dist (atoms floats). One definition shared by the
+     *  cached and uncached target paths, so the cache-on/off
+     *  bit-equality cannot drift. */
+    void greedyNextDist(const float *nrow, float *dist);
+
+    /** Fill targetCache_ for every sampled entry not yet projected
+     *  under the current frozen weights, evaluating each distinct
+     *  next state at most once per sync period (see
+     *  AgentConfig::cacheNextValues). */
+    void refreshCachedTargets(const std::vector<std::size_t> &indices);
+
+    /** Forget every memoized next-state distribution. */
+    void clearNextMemo();
 
     /** One gradient step on a sampled batch; returns mean loss. */
     double trainBatch();
@@ -153,12 +161,24 @@ class C51Agent final : public Agent
     std::uint64_t observations_ = 0;
 
     // Reused batch-assembly scratch (no steady-state allocation).
+    std::vector<std::size_t> indices_; // sampled replay entries
+    std::vector<double> perWeights_;   // PER importance weights
     ml::Matrix stateBatch_;
     ml::Matrix nextBatch_;
     ml::Matrix gradOutM_;
+    ml::Vector nextDists_;                // greedyNextDist softmax groups
+    ml::Matrix freshTargets_;             // uncached-path targets
+    std::vector<const float *> targetRows_; // per row: its target
+    std::vector<const float *> logitRows_;  // per row: taken-action logits
+    std::vector<float *> gradRows_;         // per row: its gradient span
+    std::vector<float> rowWeight_;          // per row: PER weight or 1
+    std::vector<float> rowLoss_;
+    ml::Vector lossTile_;                 // softmaxCrossEntropyRows scratch
 
     // Reused decision-path scratch: one action's softmaxed atom group
-    // (greedyFromRow) and the full Q vector for Boltzmann draws.
+    // (greedyFromRow; the uncached training path also borrows it for
+    // the greedy next distribution) and the full Q vector for
+    // Boltzmann draws.
     ml::Vector rowDist_;
     std::vector<double> qScratch_;
 
@@ -171,6 +191,23 @@ class C51Agent final : public Agent
     ml::Matrix targetCache_;
     std::vector<std::uint8_t> targetValid_;
     std::vector<std::size_t> uncachedRows_; // gather scratch
+
+    // Per-sync memo of the greedy next-state distribution, keyed on
+    // the next-state observation bytes: entries that share a next
+    // state (binned observations recur) share one forward, softmax
+    // and argmax. On the sibyl_single and fleet_paper_cadence
+    // benchmark workloads 66% and 60% of projected entries repeat a
+    // next state already evaluated since the last sync. Flat storage allocated once for bufferCapacity rows
+    // but left uninitialized, so only the rows a run fills cost
+    // resident memory; linear-probe table (key 0 = empty) with hash
+    // hits verified against the stored observation.
+    std::unique_ptr<float[]> memoDist_; // atoms floats per next state
+    std::unique_ptr<float[]> memoObs_;  // stateDim floats per next state
+    std::vector<std::uint64_t> memoKeys_;
+    std::vector<std::uint32_t> memoVals_;
+    std::size_t memoCount_ = 0;
+    std::vector<std::uint32_t> memoMisses_; // memo rows to evaluate
+    std::vector<std::uint32_t> entrySlot_;  // per uncached entry: memo row
 
     // Duplicate-state folding scratch (see
     // AgentConfig::foldDuplicateStates).

@@ -58,9 +58,10 @@ class CategoricalSupport
     void project(const ml::Vector &nextProbs, double reward, double gamma,
                  ml::Vector &target) const;
 
-    /** Span variant of project(): @p nextProbs points at atoms entries. */
+    /** Span variant of project(): reads atoms entries at @p nextProbs
+     *  and writes atoms entries at @p target (no aliasing). */
     void project(const float *nextProbs, double reward, double gamma,
-                 ml::Vector &target) const;
+                 float *target) const;
 
   private:
     double vmin_;

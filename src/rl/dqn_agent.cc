@@ -186,14 +186,15 @@ DqnAgent::trainRound()
 double
 DqnAgent::trainBatch()
 {
-    const auto indices = cfg_.prioritizedReplay
-        ? buffer_.samplePrioritizedIndices(cfg_.batchSize, rng_,
-                                           cfg_.perAlpha)
-        : buffer_.sampleIndices(cfg_.batchSize, rng_);
-    if (indices.empty())
+    if (cfg_.prioritizedReplay)
+        buffer_.samplePrioritizedIndices(cfg_.batchSize, rng_,
+                                         cfg_.perAlpha, indices_);
+    else
+        buffer_.sampleIndices(cfg_.batchSize, rng_, indices_);
+    if (indices_.empty())
         return 0.0;
-    return cfg_.batchedTraining ? trainBatchBatched(indices)
-                                : trainBatchPerSample(indices);
+    return cfg_.batchedTraining ? trainBatchBatched(indices_)
+                                : trainBatchPerSample(indices_);
 }
 
 double
@@ -297,10 +298,9 @@ DqnAgent::trainBatchBatched(const std::vector<std::size_t> &indices)
 
     // PER importance weights come from the distribution the batch was
     // sampled under, before the per-element priority refreshes below.
-    std::vector<double> perWeights;
     if (cfg_.prioritizedReplay)
-        perWeights = buffer_.importanceWeights(indices, cfg_.perAlpha,
-                                               cfg_.perBeta);
+        buffer_.importanceWeights(indices, cfg_.perAlpha, cfg_.perBeta,
+                                  perWeights_);
 
     double totalLoss = 0.0;
     for (std::size_t r = 0; r < batch; r++) {
@@ -314,7 +314,7 @@ DqnAgent::trainBatchBatched(const std::vector<std::size_t> &indices)
 
         float weight = 1.0f;
         if (cfg_.prioritizedReplay) {
-            weight = static_cast<float>(perWeights[r]);
+            weight = static_cast<float>(perWeights_[r]);
             buffer_.setPriority(idx, std::abs(diff));
         }
         gradOutM_(ui, e.action) += diff * weight;
@@ -331,10 +331,9 @@ DqnAgent::trainBatchPerSample(const std::vector<std::size_t> &indices)
 {
     // Same sampling-time importance weights as the batched path, so
     // the two paths stay numerically equivalent.
-    std::vector<double> perWeights;
     if (cfg_.prioritizedReplay)
-        perWeights = buffer_.importanceWeights(indices, cfg_.perAlpha,
-                                               cfg_.perBeta);
+        buffer_.importanceWeights(indices, cfg_.perAlpha, cfg_.perBeta,
+                                  perWeights_);
 
     double totalLoss = 0.0;
     ml::Vector gradOut;
@@ -370,7 +369,7 @@ DqnAgent::trainBatchPerSample(const std::vector<std::size_t> &indices)
 
         float weight = 1.0f;
         if (cfg_.prioritizedReplay) {
-            weight = static_cast<float>(perWeights[k]);
+            weight = static_cast<float>(perWeights_[k]);
             buffer_.setPriority(idx, std::abs(diff));
         }
 

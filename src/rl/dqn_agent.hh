@@ -99,6 +99,8 @@ class DqnAgent final : public Agent
     std::uint64_t observations_ = 0;
 
     // Reused batch-assembly scratch (no steady-state allocation).
+    std::vector<std::size_t> indices_; // sampled replay entries
+    std::vector<double> perWeights_;   // PER importance weights
     ml::Matrix stateBatch_;
     ml::Matrix nextBatch_;
     ml::Matrix gradOutM_;

@@ -142,27 +142,28 @@ ReplayBuffer::sample(std::size_t n, Pcg32 &rng) const
     return out;
 }
 
-std::vector<std::size_t>
-ReplayBuffer::sampleIndices(std::size_t n, Pcg32 &rng) const
+void
+ReplayBuffer::sampleIndices(std::size_t n, Pcg32 &rng,
+                            std::vector<std::size_t> &out) const
 {
-    std::vector<std::size_t> out;
+    out.clear();
     if (entries_.empty())
-        return out;
+        return;
     out.reserve(n);
     for (std::size_t i = 0; i < n; i++) {
         out.push_back(static_cast<std::size_t>(rng.nextBounded(
             static_cast<std::uint32_t>(entries_.size()))));
     }
-    return out;
 }
 
-std::vector<std::size_t>
+void
 ReplayBuffer::samplePrioritizedIndices(std::size_t n, Pcg32 &rng,
-                                       double alpha) const
+                                       double alpha,
+                                       std::vector<std::size_t> &out) const
 {
-    std::vector<std::size_t> out;
+    out.clear();
     if (entries_.empty())
-        return out;
+        return;
 
     ensureTree(alpha);
     const double total = tree_.total();
@@ -174,7 +175,6 @@ ReplayBuffer::samplePrioritizedIndices(std::size_t n, Pcg32 &rng,
         // descent into the zero-mass unset tail.
         out.push_back(std::min(tree_.sample(u), last));
     }
-    return out;
 }
 
 void
@@ -187,20 +187,20 @@ ReplayBuffer::setPriority(std::size_t i, float p)
         tree_.set(i, transformedPriority(p, *treeAlpha_));
 }
 
-std::vector<double>
+void
 ReplayBuffer::importanceWeights(const std::vector<std::size_t> &indices,
-                                double alpha, double beta) const
+                                double alpha, double beta,
+                                std::vector<double> &out) const
 {
-    std::vector<double> out(indices.size(), 1.0);
+    out.assign(indices.size(), 1.0);
     if (entries_.empty())
-        return out;
+        return;
     ensureTree(alpha);
     const double minProb = tree_.minValue();
     for (std::size_t k = 0; k < indices.size(); k++) {
         // w_i / w_max = (P(i)/P_min)^-beta; N and the total mass cancel.
         out[k] = std::pow(tree_.value(indices[k]) / minProb, -beta);
     }
-    return out;
 }
 
 double

@@ -115,9 +115,10 @@ class ReplayBuffer
     /** Uniformly sample @p n experiences (with replacement). */
     std::vector<const Experience *> sample(std::size_t n, Pcg32 &rng) const;
 
-    /** Uniformly sample @p n entry indices (with replacement). */
-    std::vector<std::size_t> sampleIndices(std::size_t n,
-                                           Pcg32 &rng) const;
+    /** Uniformly sample @p n entry indices (with replacement) into
+     *  @p out (cleared first; its capacity is reused). */
+    void sampleIndices(std::size_t n, Pcg32 &rng,
+                       std::vector<std::size_t> &out) const;
 
     /**
      * Prioritized sampling (Schaul et al., 2016): entry i is drawn with
@@ -130,10 +131,11 @@ class ReplayBuffer
      *
      * @param n     Samples to draw (with replacement).
      * @param alpha Prioritization exponent (0 = uniform).
+     * @param out   Receives the drawn indices (cleared first; its
+     *              capacity is reused).
      */
-    std::vector<std::size_t> samplePrioritizedIndices(std::size_t n,
-                                                      Pcg32 &rng,
-                                                      double alpha) const;
+    void samplePrioritizedIndices(std::size_t n, Pcg32 &rng, double alpha,
+                                  std::vector<std::size_t> &out) const;
 
     /** Priority of entry @p i (default: max priority at insert time). */
     float priority(std::size_t i) const { return priorities_.at(i); }
@@ -159,11 +161,12 @@ class ReplayBuffer
      * the distribution the batch was *sampled* from (i.e. before any
      * setPriority() refreshes — the Schaul et al. formulation). The
      * max-weight normalizer is hoisted out of the loop, so this costs
-     * one pow per element instead of importanceWeight()'s two.
+     * one pow per element instead of importanceWeight()'s two. Fills
+     * @p out (one weight per index; its capacity is reused).
      */
-    std::vector<double>
-    importanceWeights(const std::vector<std::size_t> &indices, double alpha,
-                      double beta) const;
+    void importanceWeights(const std::vector<std::size_t> &indices,
+                           double alpha, double beta,
+                           std::vector<double> &out) const;
 
     std::size_t size() const { return entries_.size(); }
     std::size_t capacity() const { return capacity_; }

@@ -8,12 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/rng.hh"
 #include "ml/activations.hh"
 #include "ml/layers.hh"
+#include "ml/loss.hh"
 #include "ml/matrix.hh"
 #include "ml/network.hh"
 #include "rl/c51_agent.hh"
@@ -109,6 +116,226 @@ TEST(Matmul, TransposedAAccumulates)
                 acc += 0.5f * a(r, i) * b(r, j);
             expectClose(c(i, j), acc, "transposedMatmulAdd");
         }
+}
+
+// ---------------------------------------------------------------------
+// Bitwise kernel oracles: the training kernels were restructured for
+// speed under the rule that every floating-point expression tree stays
+// as it was. The previous bodies live on here as references, and the
+// library kernels must reproduce their output bytes exactly — signed
+// zeros, NaN payloads and all.
+// ---------------------------------------------------------------------
+
+const std::size_t kWidths[] = {1, 2, 3, 4, 5, 6, 7, 8, 20, 30, 102};
+const std::size_t kBatches[] = {1, 3, 4, 5, 90, 127, 128};
+
+/**
+ * Byte equality of two float arrays, except that any NaN matches any
+ * NaN. Which NaN an x86 add or multiply returns when both operands
+ * are NaN (say an input NaN meeting the default NaN of 0 * Inf)
+ * depends on the order the compiler emits the operands of a
+ * commutative operation in, so NaN sign and payload are codegen
+ * detail even for one unchanged expression tree; NaN-ness is not.
+ */
+bool
+sameBytes(const float *a, const float *b, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; i++) {
+        if (std::isnan(a[i]) && std::isnan(b[i]))
+            continue;
+        if (std::memcmp(a + i, b + i, sizeof(float)) != 0)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * Random matrix salted with the values the kernels must not launder:
+ * signed zeros everywhere, whole 8-wide row blocks of (signed) zeros
+ * when @p zeroBlocks, and Inf/NaN when @p nonFinite.
+ */
+Matrix
+saltedMatrix(std::size_t rows, std::size_t cols, Pcg32 &rng,
+             bool zeroBlocks, bool nonFinite)
+{
+    Matrix m = randomMatrix(rows, cols, rng);
+    for (std::size_t i = 0; i < m.size(); i++) {
+        const std::uint32_t roll = rng.nextBounded(64);
+        if (roll == 0)
+            m.data()[i] = 0.0f;
+        else if (roll == 1)
+            m.data()[i] = -0.0f;
+        else if (nonFinite && roll == 2)
+            m.data()[i] = std::numeric_limits<float>::infinity();
+        else if (nonFinite && roll == 3)
+            m.data()[i] = -std::numeric_limits<float>::infinity();
+        else if (nonFinite && roll == 4)
+            m.data()[i] = std::numeric_limits<float>::quiet_NaN();
+    }
+    if (zeroBlocks) {
+        for (std::size_t r = 0; r < rows; r++)
+            for (std::size_t b = 0; b + 8 <= cols; b += 8)
+                if (rng.nextBool(0.5))
+                    for (std::size_t u = 0; u < 8; u++)
+                        m(r, b + u) = rng.nextBool(0.5) ? 0.0f : -0.0f;
+    }
+    return m;
+}
+
+/** The column-wise transposedMatmulAdd body the row-outer kernel
+ *  replaced: c outermost, batch rows in 4-row groups then singly. */
+void
+columnWiseTransposedMatmulAdd(const Matrix &a, const Matrix &b, Matrix &out,
+                              float scale)
+{
+    const std::size_t m = a.rows(), cols = a.cols(), n = b.cols();
+    const float *adata = a.data();
+    const float *bdata = b.data();
+    float *odata = out.data();
+    if (n <= 8) {
+        for (std::size_t c = 0; c < cols; c++) {
+            float *orow = odata + c * n;
+            float acc[8] = {};
+            for (std::size_t r = 0; r < m; r++) {
+                const float av = adata[r * cols + c] * scale;
+                const float *brow = bdata + r * n;
+                for (std::size_t j = 0; j < n; j++)
+                    acc[j] += av * brow[j];
+            }
+            for (std::size_t j = 0; j < n; j++)
+                orow[j] += acc[j];
+        }
+        return;
+    }
+    for (std::size_t c = 0; c < cols; c++) {
+        float *orow = odata + c * n;
+        std::size_t r = 0;
+        for (; r + 4 <= m; r += 4) {
+            const float a0 = adata[r * cols + c] * scale;
+            const float a1 = adata[(r + 1) * cols + c] * scale;
+            const float a2 = adata[(r + 2) * cols + c] * scale;
+            const float a3 = adata[(r + 3) * cols + c] * scale;
+            const float *b0 = bdata + r * n;
+            const float *b1 = b0 + n;
+            const float *b2 = b1 + n;
+            const float *b3 = b2 + n;
+            for (std::size_t j = 0; j < n; j++)
+                orow[j] += (a0 * b0[j] + a1 * b1[j]) +
+                           (a2 * b2[j] + a3 * b3[j]);
+        }
+        for (; r < m; r++) {
+            const float av = adata[r * cols + c] * scale;
+            const float *brow = bdata + r * n;
+            for (std::size_t j = 0; j < n; j++)
+                orow[j] += av * brow[j];
+        }
+    }
+}
+
+TEST(KernelOracle, TransposedMatmulAddMatchesColumnWiseBitwise)
+{
+    Pcg32 rng(0x7A11);
+    for (const std::size_t n : kWidths)
+        for (const std::size_t batch : kBatches)
+            for (const bool special : {false, true}) {
+                const std::size_t cols = 1 + rng.nextBounded(40);
+                Matrix a = saltedMatrix(batch, cols, rng, special, special);
+                Matrix b = saltedMatrix(batch, n, rng, special, special);
+                Matrix out = saltedMatrix(cols, n, rng, false, false);
+                Matrix ref = out;
+                const float scale = special ? 1.0f : 0.37f;
+                a.transposedMatmulAdd(b, out, scale);
+                columnWiseTransposedMatmulAdd(a, b, ref, scale);
+                ASSERT_TRUE(sameBytes(out.data(), ref.data(), out.size()))
+                    << "n=" << n << " batch=" << batch
+                    << " cols=" << cols << " special=" << special;
+            }
+}
+
+/** The per-row call pattern the batch-lane loss replaced: copy each
+ *  row's logits and target out, call softmaxCrossEntropy(), add the
+ *  weighted gradient into the row's gradient span. */
+void
+perRowCrossEntropy(const std::vector<const float *> &logits,
+                   const std::vector<const float *> &targets,
+                   const std::vector<float> &weights,
+                   const std::vector<float *> &grad, std::size_t n,
+                   std::vector<float> &loss)
+{
+    loss.resize(logits.size());
+    Vector lv, tv, gv;
+    for (std::size_t r = 0; r < logits.size(); r++) {
+        lv.assign(logits[r], logits[r] + n);
+        tv.assign(targets[r], targets[r] + n);
+        loss[r] = softmaxCrossEntropy(lv, tv, gv);
+        for (std::size_t k = 0; k < n; k++)
+            grad[r][k] += gv[k] * weights[r];
+    }
+}
+
+TEST(KernelOracle, CrossEntropyRowsMatchPerRowBitwise)
+{
+    Pcg32 rng(0x10C5);
+    Vector tile;
+    for (const std::size_t n : kWidths)
+        for (const std::size_t batch : kBatches)
+            for (const bool special : {false, true}) {
+                // Logits scattered over a shared block, read in place
+                // at arbitrary (possibly repeated) row offsets.
+                Matrix logits = saltedMatrix(batch + 3, 2 * n, rng, special,
+                                             special);
+                for (std::size_t i = 0; i < logits.size(); i++)
+                    logits.data()[i] *= 8.0f;
+                Matrix targets(batch, n);
+                for (std::size_t r = 0; r < batch; r++) {
+                    // Soft targets: mostly zero, a few positive atoms.
+                    for (std::size_t i = 0; i < n; i++)
+                        targets(r, i) = rng.nextBool(0.3)
+                            ? static_cast<float>(rng.nextDouble(0.0, 1.0))
+                            : (rng.nextBool(0.5) ? 0.0f : -0.0f);
+                    if (special && rng.nextBool(0.2))
+                        targets(r, rng.nextBounded(
+                                       static_cast<std::uint32_t>(n))) =
+                            rng.nextBool(0.5)
+                                ? std::numeric_limits<float>::quiet_NaN()
+                                : std::numeric_limits<float>::infinity();
+                }
+                // Gradient rows: several sampled rows may share one
+                // (folded duplicate states), in either action half.
+                const std::size_t gradRows = 1 + batch / 2;
+                Matrix grad = saltedMatrix(gradRows, 2 * n, rng, false,
+                                           false);
+                Matrix refGrad = grad;
+                std::vector<const float *> lp(batch), tp(batch);
+                std::vector<float *> gp(batch), refGp(batch);
+                std::vector<float> w(batch);
+                for (std::size_t r = 0; r < batch; r++) {
+                    lp[r] = logits.row(rng.nextBounded(
+                                static_cast<std::uint32_t>(batch + 3))) +
+                        rng.nextBounded(static_cast<std::uint32_t>(n + 1));
+                    tp[r] = targets.row(r);
+                    const auto g = rng.nextBounded(
+                        static_cast<std::uint32_t>(gradRows));
+                    const std::size_t off = rng.nextBool(0.5) ? n : 0;
+                    gp[r] = grad.row(g) + off;
+                    refGp[r] = refGrad.row(g) + off;
+                    w[r] = special
+                        ? static_cast<float>(rng.nextDouble(0.0, 1.0))
+                        : 1.0f;
+                }
+                std::vector<float> loss(batch), refLoss;
+                softmaxCrossEntropyRows(lp.data(), tp.data(), w.data(),
+                                        gp.data(), batch, n, loss.data(),
+                                        tile);
+                perRowCrossEntropy(lp, tp, w, refGp, n, refLoss);
+                ASSERT_TRUE(
+                    sameBytes(grad.data(), refGrad.data(), grad.size()))
+                    << "n=" << n << " batch=" << batch
+                    << " special=" << special;
+                ASSERT_TRUE(sameBytes(loss.data(), refLoss.data(), batch))
+                    << "n=" << n << " batch=" << batch
+                    << " special=" << special;
+            }
 }
 
 // ---------------------------------------------------------------------
@@ -278,6 +505,82 @@ fillBuffer(Agent &agent, const AgentConfig &cfg, std::uint64_t seed)
         e.action = data.nextBounded(cfg.numActions);
         e.reward = static_cast<float>(data.nextDouble(0.0, 2.0));
         agent.observe(std::move(e));
+    }
+}
+
+/** The single-pass projection loop CategoricalSupport::project()
+ *  had before it split into a landing pass and a scatter. */
+void
+singlePassProject(const CategoricalSupport &sup, const float *nextProbs,
+                  double reward, double gamma, ml::Vector &target)
+{
+    const std::uint32_t atoms = sup.atoms();
+    if (!std::isfinite(reward)) {
+        target.assign(atoms, std::numeric_limits<float>::quiet_NaN());
+        return;
+    }
+    target.assign(atoms, 0.0f);
+    for (std::uint32_t i = 0; i < atoms; i++) {
+        double p = nextProbs[i];
+        if (p <= 0.0)
+            continue;
+        double tz = std::clamp(reward + gamma * sup.atomValue(i),
+                               sup.vmin(), sup.vmax());
+        double b = (tz - sup.vmin()) / sup.deltaZ();
+        auto lo = static_cast<std::uint32_t>(std::floor(b));
+        auto hi = static_cast<std::uint32_t>(std::ceil(b));
+        lo = std::min(lo, atoms - 1);
+        hi = std::min(hi, atoms - 1);
+        if (lo == hi) {
+            target[lo] += static_cast<float>(p);
+        } else {
+            target[lo] += static_cast<float>(p * (hi - b));
+            target[hi] += static_cast<float>(p * (b - lo));
+        }
+    }
+}
+
+TEST(KernelOracle, ProjectMatchesSinglePassBitwise)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Pcg32 rng(0x9801);
+    for (const std::uint32_t atoms : {2u, 3u, 8u, 31u, 51u, 64u, 65u, 102u,
+                                      130u}) {
+        const CategoricalSupport sup(0.0, 12.0, atoms);
+        std::vector<double> rewards = {0.0, -0.0, 12.0, 1.0, -5.0, 40.0,
+                                       sup.deltaZ(), inf, -inf, nan};
+        for (int i = 0; i < 12; i++)
+            rewards.push_back(rng.nextDouble(-3.0, 15.0));
+        for (const double gamma : {0.9, 0.0, 1.0})
+            for (const double reward : rewards)
+                for (const bool special : {false, true}) {
+                    ml::Vector probs(atoms);
+                    for (auto &p : probs) {
+                        p = static_cast<float>(rng.nextDouble(0.0, 1.0));
+                        const std::uint32_t roll = rng.nextBounded(16);
+                        if (roll == 0)
+                            p = 0.0f;
+                        else if (roll == 1)
+                            p = -0.0f;
+                        else if (special && roll == 2)
+                            p = std::numeric_limits<float>::quiet_NaN();
+                        else if (special && roll == 3)
+                            p = std::numeric_limits<float>::infinity();
+                        else if (special && roll == 4)
+                            p = -0.25f;
+                        else if (special && roll == 5)
+                            p = std::numeric_limits<float>::denorm_min();
+                    }
+                    ml::Vector got, ref;
+                    sup.project(probs, reward, gamma, got);
+                    singlePassProject(sup, probs.data(), reward, gamma, ref);
+                    ASSERT_EQ(got.size(), ref.size());
+                    ASSERT_TRUE(ml::sameBytes(got.data(), ref.data(),
+                                              got.size()))
+                        << "atoms=" << atoms << " reward=" << reward
+                        << " gamma=" << gamma << " special=" << special;
+                }
     }
 }
 
@@ -544,39 +847,73 @@ TEST(RowDecisions, C51SelectActionUnchanged)
 // duplicate-state folding must stay within summation-order tolerance.
 // ---------------------------------------------------------------------
 
+/** One coarse observation component: the fold test's quantizer,
+ *  four levels per feature, so byte-identical observations recur. */
+float
+quantized(Pcg32 &rng)
+{
+    return static_cast<float>(rng.nextBounded(4)) * 0.25f;
+}
+
+/**
+ * Drive a cache-on and a cache-off agent through the same stream and
+ * require bit-identical parameters. With @p sharedNextStates the next
+ * states come from a small pool of quantized observations, so many
+ * replay entries share one next state (the C51 agent's per-sync
+ * next-state memo path), and an explicit weight sync lands mid-stream
+ * between cadence points to exercise its invalidation. A long
+ * @p syncEvery lets distinct next states pile up between syncs past
+ * bufferCapacity, so the C51 memo starts over mid-period.
+ */
 template <typename AgentT>
 void
-expectCacheIsPureMemoization()
+expectCacheIsPureMemoization(bool sharedNextStates,
+                             std::uint32_t syncEvery = 90, int steps = 600)
 {
     AgentConfig on;
     on.bufferCapacity = 150;
     on.batchSize = 32;
     on.batchesPerTraining = 2;
     on.trainEvery = 40;
-    on.targetSyncEvery = 90; // several syncs + invalidations
+    on.targetSyncEvery = syncEvery;
     AgentConfig off = on;
     on.cacheNextValues = true;
     off.cacheNextValues = false;
 
     AgentT a(on);
     AgentT b(off);
+    Pcg32 data(0xCAFE);
+    std::vector<ml::Vector> pool(12, ml::Vector(on.stateDim));
+    for (auto &obs : pool)
+        for (auto &v : obs)
+            v = quantized(data);
     // Identical observation streams drive identical training rounds
     // (same seeds -> same sampling); duplicated adds also exercise
     // the ring-overwrite invalidation path.
-    Pcg32 data(0xCAFE);
-    for (int i = 0; i < 600; i++) {
+    for (int i = 0; i < steps; i++) {
         Experience e;
         e.state.resize(on.stateDim);
-        e.nextState.resize(on.stateDim);
         for (auto &v : e.state)
-            v = static_cast<float>(data.nextDouble(0.0, 1.0));
-        for (auto &v : e.nextState)
-            v = static_cast<float>(data.nextDouble(0.0, 1.0));
+            v = sharedNextStates ? quantized(data)
+                                 : static_cast<float>(
+                                       data.nextDouble(0.0, 1.0));
+        if (sharedNextStates) {
+            e.nextState = pool[data.nextBounded(
+                static_cast<std::uint32_t>(pool.size()))];
+        } else {
+            e.nextState.resize(on.stateDim);
+            for (auto &v : e.nextState)
+                v = static_cast<float>(data.nextDouble(0.0, 1.0));
+        }
         e.action = data.nextBounded(on.numActions);
         e.reward = static_cast<float>(data.nextDouble(0.0, 2.0));
         Experience e2 = e;
         a.observe(std::move(e));
         b.observe(std::move(e2));
+        if (sharedNextStates && i == 333) {
+            a.syncWeights();
+            b.syncWeights();
+        }
     }
     EXPECT_GT(a.stats().trainingRounds, 0u);
     EXPECT_GT(a.stats().weightSyncs, 0u);
@@ -591,12 +928,30 @@ expectCacheIsPureMemoization()
 
 TEST(TargetCache, DqnBitIdenticalOnOff)
 {
-    expectCacheIsPureMemoization<DqnAgent>();
+    expectCacheIsPureMemoization<DqnAgent>(false);
 }
 
 TEST(TargetCache, C51BitIdenticalOnOff)
 {
-    expectCacheIsPureMemoization<C51Agent>();
+    expectCacheIsPureMemoization<C51Agent>(false);
+}
+
+TEST(TargetCache, C51MemoRestartBetweenSyncsBitIdenticalOnOff)
+{
+    // About 20 training rounds of fresh continuous next states before
+    // the first sync at 1000: the memo fills its 150 rows and starts
+    // over several times within one sync period.
+    expectCacheIsPureMemoization<C51Agent>(false, 1000, 1500);
+}
+
+TEST(TargetCache, DqnSharedNextStatesBitIdenticalOnOff)
+{
+    expectCacheIsPureMemoization<DqnAgent>(true);
+}
+
+TEST(TargetCache, C51SharedNextStatesBitIdenticalOnOff)
+{
+    expectCacheIsPureMemoization<C51Agent>(true);
 }
 
 template <typename AgentT>
@@ -622,9 +977,9 @@ expectFoldWithinTolerance()
         e.nextState.resize(on.stateDim);
         // Coarse quantization: plenty of byte-identical states.
         for (auto &v : e.state)
-            v = static_cast<float>(data.nextBounded(4)) * 0.25f;
+            v = quantized(data);
         for (auto &v : e.nextState)
-            v = static_cast<float>(data.nextBounded(4)) * 0.25f;
+            v = quantized(data);
         e.action = data.nextBounded(on.numActions);
         e.reward = static_cast<float>(data.nextDouble(0.0, 2.0));
         Experience e2 = e;
@@ -653,6 +1008,57 @@ TEST(DuplicateFold, DqnWithinTolerance)
 TEST(DuplicateFold, C51WithinTolerance)
 {
     expectFoldWithinTolerance<C51Agent>();
+}
+
+// ---------------------------------------------------------------------
+// Exact training pin: the golden runs hold Sibyl only to a 5% band, so
+// a drift in a single training bit would pass them. This drives a
+// default-hyper-parameter C51 agent (6-20-30-102, 128 x 8 replays,
+// folding and target cache on) through three training rounds and
+// three weight syncs on a fixed quantized stream, and pins the
+// trained parameters and the last round's loss bit for bit. Kernel
+// rewrites must keep every floating-point expression tree, so these
+// constants only move with a deliberate numerics change.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+fnv1a(const void *data, std::size_t len)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    std::uint64_t h = 1469598103934665603ULL;
+    for (std::size_t i = 0; i < len; i++) {
+        h ^= p[i];
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+TEST(TrainingPin, C51DefaultHyperParametersBitExact)
+{
+    AgentConfig cfg; // Table 2 defaults: trains and syncs every 1000
+    C51Agent agent(cfg);
+    Pcg32 data(0x51B1);
+    for (int i = 0; i < 3500; i++) {
+        ml::Vector state(cfg.stateDim), next(cfg.stateDim);
+        for (auto &v : state)
+            v = quantized(data);
+        for (auto &v : next)
+            v = quantized(data);
+        const std::uint32_t action = data.nextBounded(cfg.numActions);
+        const auto reward = static_cast<float>(data.nextDouble(0.0, 2.0));
+        agent.observeTransition(state, action, reward, next);
+    }
+    ASSERT_EQ(agent.stats().trainingRounds, 3u);
+    ASSERT_EQ(agent.stats().weightSyncs, 3u);
+    ASSERT_EQ(agent.stats().gradientSteps, 3u * 8u * 128u);
+
+    const auto params = agent.trainingNetwork().saveParams();
+    const double loss = agent.stats().lastLoss;
+    const std::uint64_t paramHash =
+        fnv1a(params.data(), params.size() * sizeof(float));
+    const auto lossBits = std::bit_cast<std::uint64_t>(loss);
+    EXPECT_EQ(paramHash, 0xacd929643335c1abULL) << std::hex << "params 0x" << paramHash;
+    EXPECT_EQ(lossBits, 0x400fe64417d80000ULL) << std::hex << "lastLoss 0x" << lossBits;
 }
 
 } // namespace

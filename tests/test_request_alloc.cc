@@ -8,8 +8,9 @@
  * trace it has already warmed up on. After warm-up (scratch buffers
  * sized, replay ring full, page-metadata table grown to the working
  * set) a steady-state request must perform ZERO heap allocations.
- * Training rounds are excluded by cadence: they run batched GEMMs at
- * their own rhythm and are exercised/covered elsewhere.
+ * The request-path case keeps training off by cadence; a second case
+ * keeps the default cadence (uniform replay) on and requires the
+ * training rounds and weight syncs to be allocation-free as well.
  */
 
 #include <gtest/gtest.h>
@@ -173,6 +174,42 @@ TEST_P(RequestAllocTest, SteadyStateRequestsAllocateNothing)
         << " heap allocations over " << t.size() << " requests";
     EXPECT_EQ(frees, 0u)
         << "steady-state request path performed " << frees
+        << " frees over " << t.size() << " requests";
+}
+
+TEST_P(RequestAllocTest, SteadyStateTrainingAllocatesNothing)
+{
+#if !SIBYL_ALLOC_COUNTING_RELIABLE
+    GTEST_SKIP() << "sanitizer allocator interposes operator new";
+#endif
+    trace::Trace t = trace::makeWorkload("prxy_1", 6000);
+    auto specs = hss::makeHssConfig("H&M", t.uniquePages());
+    hss::HybridSystem sys(std::move(specs), 42);
+    core::SibylConfig cfg; // default training and sync cadence
+    cfg.agentKind = GetParam();
+    core::SibylPolicy policy(cfg, sys.numDevices());
+
+    // Warm-up pass: besides the request-path scratch, the first
+    // training rounds size the batch matrices, target caches and
+    // optimizer state.
+    replay(t, sys, policy);
+    const rl::AgentStats warm = policy.agent().stats();
+    ASSERT_GT(warm.trainingRounds, 0u);
+
+    const std::uint64_t allocsBefore = gAllocs;
+    const std::uint64_t freesBefore = gFrees;
+    replay(t, sys, policy);
+    const std::uint64_t allocs = gAllocs - allocsBefore;
+    const std::uint64_t frees = gFrees - freesBefore;
+
+    const rl::AgentStats &after = policy.agent().stats();
+    EXPECT_GT(after.trainingRounds, warm.trainingRounds);
+    EXPECT_GT(after.weightSyncs, warm.weightSyncs);
+    EXPECT_EQ(allocs, 0u)
+        << "steady-state training performed " << allocs
+        << " heap allocations over " << t.size() << " requests";
+    EXPECT_EQ(frees, 0u)
+        << "steady-state training performed " << frees
         << " frees over " << t.size() << " requests";
 }
 

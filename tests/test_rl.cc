@@ -315,7 +315,8 @@ TEST(PrioritizedReplay, SamplingFollowsPriorities)
     buf.setPriority(2, 0.001f);
     buf.setPriority(3, 0.001f);
     Pcg32 rng(9);
-    const auto idx = buf.samplePrioritizedIndices(2000, rng, 1.0);
+    std::vector<std::size_t> idx;
+    buf.samplePrioritizedIndices(2000, rng, 1.0, idx);
     std::size_t hits = 0;
     for (auto i : idx)
         hits += i == 0 ? 1 : 0;
@@ -333,7 +334,8 @@ TEST(PrioritizedReplay, AlphaZeroIsUniform)
     }
     buf.setPriority(0, 1000.0f);
     Pcg32 rng(9);
-    const auto idx = buf.samplePrioritizedIndices(4000, rng, 0.0);
+    std::vector<std::size_t> idx;
+    buf.samplePrioritizedIndices(4000, rng, 0.0, idx);
     std::vector<std::size_t> counts(4, 0);
     for (auto i : idx)
         counts[i]++;

@@ -152,7 +152,8 @@ TEST(PrioritizedSumTree, MatchesPrefixSumDistribution)
     const std::size_t n = 40000;
     Pcg32 rngTree(2024);
     Pcg32 rngPrefix(2024);
-    const auto treeDraws = buf.samplePrioritizedIndices(n, rngTree, alpha);
+    std::vector<std::size_t> treeDraws;
+    buf.samplePrioritizedIndices(n, rngTree, alpha, treeDraws);
     const auto prefixDraws = samplePrefixSum(buf, n, rngPrefix, alpha);
 
     // df = 7; chi² > 24.3 would reject at p = 0.001. Fixed seed, so
@@ -177,9 +178,11 @@ TEST(PrioritizedSumTree, SetPriorityPropagatesToSampling)
 
     Pcg32 rng(7);
     // Prime the tree under alpha=1, then shift all mass to entry 3.
-    buf.samplePrioritizedIndices(10, rng, 1.0);
+    std::vector<std::size_t> primed;
+    buf.samplePrioritizedIndices(10, rng, 1.0, primed);
     buf.setPriority(3, 1e6f);
-    const auto draws = buf.samplePrioritizedIndices(2000, rng, 1.0);
+    std::vector<std::size_t> draws;
+    buf.samplePrioritizedIndices(2000, rng, 1.0, draws);
     std::size_t hits = 0;
     for (std::size_t i : draws)
         hits += i == 3;
@@ -187,7 +190,8 @@ TEST(PrioritizedSumTree, SetPriorityPropagatesToSampling)
 
     // And back down again: the update must propagate both directions.
     buf.setPriority(3, 1e-6f);
-    const auto draws2 = buf.samplePrioritizedIndices(2000, rng, 1.0);
+    std::vector<std::size_t> draws2;
+    buf.samplePrioritizedIndices(2000, rng, 1.0, draws2);
     std::size_t hits2 = 0;
     for (std::size_t i : draws2)
         hits2 += i == 3;
@@ -200,12 +204,14 @@ TEST(PrioritizedSumTree, RingOverwriteUpdatesTree)
     buf.add(makeExp(0.0f));
     buf.add(makeExp(1.0f));
     Pcg32 rng(9);
-    buf.samplePrioritizedIndices(1, rng, 1.0); // key the tree
+    std::vector<std::size_t> primed;
+    buf.samplePrioritizedIndices(1, rng, 1.0, primed); // key the tree
     buf.setPriority(0, 1e-6f);
     buf.setPriority(1, 1e-6f);
     // Overwrites slot 0 with a fresh max-priority (1.0) entry.
     buf.add(makeExp(2.0f));
-    const auto draws = buf.samplePrioritizedIndices(1000, rng, 1.0);
+    std::vector<std::size_t> draws;
+    buf.samplePrioritizedIndices(1000, rng, 1.0, draws);
     std::size_t hits = 0;
     for (std::size_t i : draws)
         hits += i == 0;
@@ -220,14 +226,16 @@ TEST(PrioritizedSumTree, AlphaSwitchRekeysTree)
     buf.setPriority(0, 100.0f);
 
     Pcg32 rng(11);
-    const auto skewed = buf.samplePrioritizedIndices(4000, rng, 1.0);
+    std::vector<std::size_t> skewed;
+    buf.samplePrioritizedIndices(4000, rng, 1.0, skewed);
     std::size_t hits = 0;
     for (std::size_t i : skewed)
         hits += i == 0;
     EXPECT_GT(hits, 3500u);
 
     // alpha = 0 flattens the distribution regardless of priorities.
-    const auto uniform = buf.samplePrioritizedIndices(4000, rng, 0.0);
+    std::vector<std::size_t> uniform;
+    buf.samplePrioritizedIndices(4000, rng, 0.0, uniform);
     std::vector<std::size_t> counts(4, 0);
     for (std::size_t i : uniform)
         counts[i]++;
