@@ -151,14 +151,20 @@ makeExploration(const AgentConfig &cfg)
  *  (hash hits are verified by full comparison, so collisions cannot
  *  merge distinct states). */
 inline std::uint64_t
-hashObservation(const ml::Vector &v)
+hashObservation(const float *v, std::size_t n)
 {
     // Shared WordHasher (see replay_buffer.hh). Hash hits in the fold
     // map are verified by full comparison anyway, so a collision can
     // only fail to fold a duplicate, never mis-fold.
     WordHasher hasher;
-    hasher.mixBytes(v.data(), v.size() * sizeof(float));
+    hasher.mixBytes(v, n * sizeof(float));
     return hasher.finish();
+}
+
+inline std::uint64_t
+hashObservation(const ml::Vector &v)
+{
+    return hashObservation(v.data(), v.size());
 }
 
 /**
@@ -221,6 +227,9 @@ struct AgentStats
     std::uint64_t trainingRounds = 0;
     std::uint64_t gradientSteps = 0;
     std::uint64_t weightSyncs = 0;
+    /** Greedy decisions answered from the C51 agent's per-sync
+     *  decision memo, without evaluating the network. */
+    std::uint64_t decisionMemoHits = 0;
     double lastLoss = 0.0;
 };
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
-#include "ml/activations.hh"
 #include "ml/loss.hh"
 
 namespace sibyl::rl
@@ -35,6 +33,14 @@ C51Agent::C51Agent(const C51Config &cfg)
         optimizer_ = std::make_unique<ml::Adam>(cfg_.learningRate);
     else
         optimizer_ = std::make_unique<ml::Sgd>(cfg_.learningRate);
+
+    decodeProbs_.resize(static_cast<std::size_t>(cfg_.numActions) *
+                        cfg_.atoms);
+    decodeQ_.resize(cfg_.numActions);
+    const std::size_t memoRows = std::min<std::size_t>(
+        cfg_.targetSyncEvery, kDecisionMemoRows);
+    decisionMemo_.allocate(memoRows, cfg_.stateDim);
+    decisionActions_.resize(decisionMemo_.capacity());
 }
 
 void
@@ -45,34 +51,27 @@ C51Agent::setLearningRate(double lr)
 }
 
 void
-C51Agent::extractActionDist(const float *out, std::uint32_t action,
-                            std::uint32_t atoms, ml::Vector &dist)
+C51Agent::decodeRow(const float *out)
 {
-    dist.assign(out + action * atoms, out + (action + 1) * atoms);
-    ml::softmax(dist);
+    support_.decode(out, cfg_.numActions, decodeProbs_.data(),
+                    decodeQ_.data());
 }
 
 std::vector<double>
 C51Agent::qValues(const ml::Vector &state)
 {
-    const float *out = inferenceNet_->inferRow(state);
-    std::vector<double> q(cfg_.numActions);
-    for (std::uint32_t a = 0; a < cfg_.numActions; a++) {
-        extractActionDist(out, a, cfg_.atoms, rowDist_);
-        q[a] = support_.expectation(rowDist_);
-    }
-    return q;
+    decodeRow(inferenceNet_->inferRow(state));
+    return decodeQ_;
 }
 
 std::uint32_t
 C51Agent::greedyFromRow(const float *out)
 {
-    // Per-row categorical expectation in reused scratch: softmax each
-    // action's atom group, take its expectation over the support, and
-    // keep the first maximum — the same winner std::max_element picks
-    // over a materialized Q vector, without materializing one. With a
-    // restricting action mask, masked actions are skipped; the allowed
-    // actions keep the exact same expectations and tie-break order.
+    // Keep the first maximum — the same winner std::max_element picks
+    // over the Q vector. With a restricting action mask, masked
+    // actions are skipped; the allowed actions keep the exact same
+    // expectations and tie-break order.
+    decodeRow(out);
     const bool restricted = !maskCoversAll(actionMask_, cfg_.numActions);
     std::uint32_t bestA = restricted
         ? static_cast<std::uint32_t>(std::countr_zero(actionMask_))
@@ -81,10 +80,8 @@ C51Agent::greedyFromRow(const float *out)
     for (std::uint32_t a = 0; a < cfg_.numActions; a++) {
         if (restricted && !(actionMask_ >> a & 1u))
             continue;
-        extractActionDist(out, a, cfg_.atoms, rowDist_);
-        const double q = support_.expectation(rowDist_);
-        if (q > bestQ) {
-            bestQ = q;
+        if (decodeQ_[a] > bestQ) {
+            bestQ = decodeQ_[a];
             bestA = a;
         }
     }
@@ -105,18 +102,15 @@ C51Agent::selectActionBegin(const ml::Vector &state, std::uint32_t &action)
     if (explore_.isBoltzmann()) {
         // The Boltzmann draw's arguments depend on the Q row, so this
         // path cannot defer the network evaluation; resolve inline.
-        const float *out = inferenceNet_->inferRow(state);
+        decodeRow(inferenceNet_->inferRow(state));
         if (restricted) {
             // Compact the allowed actions, sample over them, map the
             // sampled index back to an action id.
             const auto allowed = static_cast<std::uint32_t>(
                 std::popcount(actionMask_));
             qScratch_.resize(allowed);
-            for (std::uint32_t i = 0; i < allowed; i++) {
-                extractActionDist(out, nthSetBit(actionMask_, i),
-                                  cfg_.atoms, rowDist_);
-                qScratch_[i] = support_.expectation(rowDist_);
-            }
+            for (std::uint32_t i = 0; i < allowed; i++)
+                qScratch_[i] = decodeQ_[nthSetBit(actionMask_, i)];
             const auto greedy = static_cast<std::uint32_t>(
                 std::max_element(qScratch_.begin(), qScratch_.end()) -
                 qScratch_.begin());
@@ -127,15 +121,10 @@ C51Agent::selectActionBegin(const ml::Vector &state, std::uint32_t &action)
             action = nthSetBit(actionMask_, idx);
             return true;
         }
-        qScratch_.resize(cfg_.numActions);
-        for (std::uint32_t a = 0; a < cfg_.numActions; a++) {
-            extractActionDist(out, a, cfg_.atoms, rowDist_);
-            qScratch_[a] = support_.expectation(rowDist_);
-        }
         const auto greedy = static_cast<std::uint32_t>(
-            std::max_element(qScratch_.begin(), qScratch_.end()) -
-            qScratch_.begin());
-        action = explore_.sampleBoltzmann(qScratch_, rng_);
+            std::max_element(decodeQ_.begin(), decodeQ_.end()) -
+            decodeQ_.begin());
+        action = explore_.sampleBoltzmann(decodeQ_, rng_);
         if (action != greedy)
             stats_.randomActions++;
         return true;
@@ -151,13 +140,36 @@ C51Agent::selectActionBegin(const ml::Vector &state, std::uint32_t &action)
             : rng_.nextBounded(cfg_.numActions);
         return true;
     }
-    return false; // greedy: caller evaluates the inference network row
+    if (restricted)
+        return false; // greedy: caller evaluates the inference row
+
+    // Greedy under the full mask: answer a repeat from the decision
+    // memo, else give the observation a row for FromRow to fill.
+    assert(state.size() == cfg_.stateDim);
+    ObservationTable::Probe p = decisionMemo_.find(state.data());
+    if (p.row != ObservationTable::kNone) {
+        action = decisionActions_[p.row];
+        stats_.decisionMemoHits++;
+        return true;
+    }
+    if (decisionMemo_.full()) {
+        decisionMemo_.clear(); // exact: it only recomputes
+        p = decisionMemo_.find(state.data());
+    }
+    pendingDecision_ = decisionMemo_.insert(p, state.data());
+    return false; // caller evaluates the inference network row
 }
 
 std::uint32_t
 C51Agent::selectActionFromRow(const float *row)
 {
-    return greedyFromRow(row);
+    const std::uint32_t action = greedyFromRow(row);
+    if (pendingDecision_ != ObservationTable::kNone) {
+        decisionActions_[pendingDecision_] =
+            static_cast<std::uint8_t>(action);
+        pendingDecision_ = ObservationTable::kNone;
+    }
+    return action;
 }
 
 std::uint32_t
@@ -241,30 +253,19 @@ C51Agent::trainBatch()
 void
 C51Agent::greedyNextDist(const float *nrow, float *dist)
 {
-    // Greedy next action by distribution expectation. Softmax every
-    // action group once into one scratch buffer; the winner's
-    // distribution is then copied out instead of being recomputed.
-    nextDists_.assign(nrow, nrow + cfg_.numActions * cfg_.atoms);
+    // Greedy next action by distribution expectation; the winner's
+    // decoded distribution is copied out instead of being recomputed.
+    decodeRow(nrow);
     std::uint32_t bestA = 0;
     double bestQ = -1e30;
     for (std::uint32_t a = 0; a < cfg_.numActions; a++) {
-        float *d = nextDists_.data() + a * cfg_.atoms;
-        ml::softmax(d, cfg_.atoms);
-        const double q = support_.expectation(d);
-        if (q > bestQ) {
-            bestQ = q;
+        if (decodeQ_[a] > bestQ) {
+            bestQ = decodeQ_[a];
             bestA = a;
         }
     }
-    const float *win = nextDists_.data() + bestA * cfg_.atoms;
+    const float *win = decodeProbs_.data() + bestA * cfg_.atoms;
     std::copy(win, win + cfg_.atoms, dist);
-}
-
-void
-C51Agent::clearNextMemo()
-{
-    std::fill(memoKeys_.begin(), memoKeys_.end(), 0);
-    memoCount_ = 0;
 }
 
 void
@@ -278,14 +279,7 @@ C51Agent::refreshCachedTargets(const std::vector<std::size_t> &indices)
         targetValid_.assign(cap, 0);
         memoDist_ =
             std::make_unique_for_overwrite<float[]>(cap * cfg_.atoms);
-        memoObs_ =
-            std::make_unique_for_overwrite<float[]>(cap * cfg_.stateDim);
-        std::size_t slots = 16;
-        while (slots < 2 * cap)
-            slots <<= 1;
-        memoKeys_.assign(slots, 0);
-        memoVals_.assign(slots, 0);
-        memoCount_ = 0;
+        nextMemo_.allocate(cap, cfg_.stateDim);
     }
     uncachedRows_.clear();
     for (const std::size_t idx : indices) {
@@ -302,9 +296,8 @@ C51Agent::refreshCachedTargets(const std::vector<std::size_t> &indices)
     // store (the ring turns over between syncs); starting the memo
     // over is exact, it only recomputes. The uncached entries are
     // distinct ring slots, so they always fit a fresh memo.
-    if (memoCount_ + uncachedRows_.size() > cap)
-        clearNextMemo();
-    const std::size_t mask = memoKeys_.size() - 1;
+    if (nextMemo_.size() + uncachedRows_.size() > cap)
+        nextMemo_.clear();
     const std::size_t dim = cfg_.stateDim;
     const std::size_t atoms = cfg_.atoms;
     memoMisses_.clear();
@@ -312,27 +305,12 @@ C51Agent::refreshCachedTargets(const std::vector<std::size_t> &indices)
     for (std::size_t u = 0; u < uncachedRows_.size(); u++) {
         const ml::Vector &ns = buffer_[uncachedRows_[u]].nextState;
         assert(ns.size() == dim);
-        std::uint64_t h = hashObservation(ns);
-        h += h == 0; // 0 is the empty-slot sentinel
-        std::size_t slot = h & mask;
-        std::uint32_t found = 0xFFFFFFFFu;
-        while (memoKeys_[slot] != 0) {
-            if (memoKeys_[slot] == h &&
-                std::memcmp(memoObs_.get() + memoVals_[slot] * dim,
-                            ns.data(), dim * sizeof(float)) == 0) {
-                found = memoVals_[slot];
-                break;
-            }
-            slot = (slot + 1) & mask;
+        ObservationTable::Probe p = nextMemo_.find(ns.data());
+        if (p.row == ObservationTable::kNone) {
+            p.row = nextMemo_.insert(p, ns.data());
+            memoMisses_.push_back(p.row);
         }
-        if (found == 0xFFFFFFFFu) {
-            found = static_cast<std::uint32_t>(memoCount_++);
-            memoKeys_[slot] = h;
-            memoVals_[slot] = found;
-            std::copy(ns.begin(), ns.end(), memoObs_.get() + found * dim);
-            memoMisses_.push_back(found);
-        }
-        entrySlot_[u] = found;
+        entrySlot_[u] = p.row;
     }
 
     // One batched forward over the next states not seen since the
@@ -341,7 +319,7 @@ C51Agent::refreshCachedTargets(const std::vector<std::size_t> &indices)
     if (!memoMisses_.empty()) {
         nextBatch_.resize(memoMisses_.size(), dim);
         for (std::size_t m = 0; m < memoMisses_.size(); m++) {
-            const float *obs = memoObs_.get() + memoMisses_[m] * dim;
+            const float *obs = nextMemo_.observation(memoMisses_[m]);
             std::copy(obs, obs + dim, nextBatch_.row(m));
         }
         const ml::Matrix &fresh = inferenceNet_->infer(nextBatch_);
@@ -474,17 +452,8 @@ C51Agent::trainBatchPerSample(const std::vector<std::size_t> &indices)
         // syncs, playing the target-network role): distribution of the
         // greedy next action.
         const ml::Vector &nextOut = inferenceNet_->forward(e->nextState);
-        std::uint32_t bestA = 0;
-        double bestQ = -1e30;
-        for (std::uint32_t a = 0; a < cfg_.numActions; a++) {
-            extractActionDist(nextOut.data(), a, cfg_.atoms, nextDist);
-            double q = support_.expectation(nextDist);
-            if (q > bestQ) {
-                bestQ = q;
-                bestA = a;
-            }
-        }
-        extractActionDist(nextOut.data(), bestA, cfg_.atoms, nextDist);
+        nextDist.resize(cfg_.atoms);
+        greedyNextDist(nextOut.data(), nextDist.data());
         support_.project(nextDist, e->reward, cfg_.gamma, target);
 
         // Cross-entropy between the projected target and the training
@@ -521,10 +490,12 @@ C51Agent::syncWeights()
 {
     inferenceNet_->copyWeightsFrom(*trainingNet_);
     stats_.weightSyncs++;
-    // The frozen network the cached projected targets and next-state
-    // distributions came from is gone.
+    // The frozen network the cached projected targets, next-state
+    // distributions and greedy decisions came from is gone.
     std::fill(targetValid_.begin(), targetValid_.end(), 0);
-    clearNextMemo();
+    nextMemo_.clear();
+    decisionMemo_.clear();
+    pendingDecision_ = ObservationTable::kNone;
 }
 
 std::size_t

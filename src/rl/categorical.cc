@@ -7,6 +7,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "ml/activations.hh"
 #include "ml/kernel_dispatch.hh"
 
 namespace sibyl::rl
@@ -35,6 +36,18 @@ CategoricalSupport::expectation(const float *probs) const
     for (std::uint32_t i = 0; i < atoms_; i++)
         e += static_cast<double>(probs[i]) * atomValue(i);
     return e;
+}
+
+void
+CategoricalSupport::decode(const float *logits, std::uint32_t actions,
+                           float *probs, double *q) const
+{
+    for (std::uint32_t a = 0; a < actions; a++) {
+        float *p = probs + a * atoms_;
+        std::copy(logits + a * atoms_, logits + (a + 1) * atoms_, p);
+        ml::softmax(p, atoms_);
+        q[a] = expectation(p);
+    }
 }
 
 void

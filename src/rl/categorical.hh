@@ -47,6 +47,16 @@ class CategoricalSupport
     double expectation(const float *probs) const;
 
     /**
+     * Decode one C51 network output row: for each of the @p actions
+     * consecutive atom groups of @p logits, write its softmax to
+     * @p probs (same offset) and its expectation over this support to
+     * @p q[a]. The one decode every C51 decision and Bellman target
+     * goes through.
+     */
+    void decode(const float *logits, std::uint32_t actions, float *probs,
+                double *q) const;
+
+    /**
      * Project the Bellman-updated distribution onto this support:
      * target[j] accumulates nextProbs[i] mass at clamp(r + gamma*z_i).
      *

@@ -1061,5 +1061,62 @@ TEST(TrainingPin, C51DefaultHyperParametersBitExact)
     EXPECT_EQ(lossBits, 0x400fe64417d80000ULL) << std::hex << "lastLoss 0x" << lossBits;
 }
 
+// ---------------------------------------------------------------------
+// Exact decision pin, the serving-side twin of the training pin: a
+// default C51 agent decides every request of a quantized stream through
+// selectAction (epsilon draw, inference row, categorical decode, per-sync
+// greedy-decision memo) while it trains and syncs at the Table 2 cadence.
+// The FNV-1a of the action sequence and of the final Q-value bits over a
+// probe set only move with a deliberate numerics change.
+// ---------------------------------------------------------------------
+
+TEST(DecisionPin, C51DefaultGreedyActionsBitExact)
+{
+    AgentConfig cfg;
+    C51Agent agent(cfg);
+    Pcg32 data(0xDEC1);
+    ml::Vector state(cfg.stateDim), prev(cfg.stateDim);
+    std::uint32_t prevAction = 0;
+    float prevReward = 0.0f;
+    std::vector<std::uint8_t> actions;
+    for (int i = 0; i < 4000; i++) {
+        for (auto &v : state)
+            v = quantized(data);
+        if (i > 0)
+            agent.observeTransition(prev, prevAction, prevReward, state);
+        prevAction = agent.selectAction(state);
+        actions.push_back(static_cast<std::uint8_t>(prevAction));
+        // Action 1 pays on "cold" states, action 0 on "hot" ones, so the
+        // learned policy is state-dependent rather than constant.
+        const bool hot = state[0] + state[1] >= 0.75f;
+        prevReward = static_cast<float>(
+            (prevAction == (hot ? 0u : 1u) ? 1.5 : 0.25) +
+            data.nextDouble(0.0, 0.5));
+        prev = state;
+    }
+    ASSERT_GE(agent.stats().weightSyncs, 2u);
+    ASSERT_EQ(agent.stats().decisions, actions.size());
+    std::size_t ones = 0;
+    for (const std::uint8_t a : actions)
+        ones += a;
+    ASSERT_GT(ones, 0u);
+    ASSERT_LT(ones, actions.size());
+
+    std::vector<double> q;
+    Pcg32 probes(0x9B0B);
+    for (int p = 0; p < 64; p++) {
+        for (auto &v : state)
+            v = quantized(probes);
+        const std::vector<double> qs = agent.qValues(state);
+        q.insert(q.end(), qs.begin(), qs.end());
+    }
+    const std::uint64_t actionHash = fnv1a(actions.data(), actions.size());
+    const std::uint64_t qHash = fnv1a(q.data(), q.size() * sizeof(double));
+    EXPECT_EQ(actionHash, 0xa43d722a50a1da0aULL)
+        << std::hex << "actions 0x" << actionHash;
+    EXPECT_EQ(qHash, 0xd4fc0670b54baadfULL)
+        << std::hex << "qValues 0x" << qHash;
+}
+
 } // namespace
 } // namespace sibyl::rl

@@ -2,14 +2,27 @@
  * @file
  * Tests for the RL substrate: replay buffer (capacity/dedup/sampling),
  * categorical support/projection (mass conservation properties), and
- * the C51 agent's learning on a contextual-bandit toy problem.
+ * the C51 agent's learning on a contextual-bandit toy problem, and the
+ * C51 decision path: the row decode against a per-action softmax +
+ * expectation reference on edge-case logits, and the per-sync greedy
+ * decision memo against a fresh evaluation of every decision.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <set>
+#include <sstream>
+#include <vector>
+
 #include "common/rng.hh"
+#include "ml/activations.hh"
 #include "rl/c51_agent.hh"
 #include "rl/categorical.hh"
+#include "rl/checkpoint.hh"
 #include "rl/replay_buffer.hh"
 
 namespace sibyl::rl
@@ -372,6 +385,303 @@ TEST(PrioritizedReplay, SetPriorityFloorsAtPositive)
     buf.add(e);
     buf.setPriority(0, 0.0f);
     EXPECT_GT(buf.priority(0), 0.0f);
+}
+
+// ------------------------- C51 decision path ------------------------
+
+/** Reference C51 decode: per action, copy the atom group, ml::softmax()
+ *  it and take expectation() — the contract of
+ *  CategoricalSupport::decode(), and the decision the memo must
+ *  reproduce. */
+void
+referenceDecode(const CategoricalSupport &sup, const float *row,
+                std::uint32_t actions, std::vector<float> &probs,
+                std::vector<double> &q)
+{
+    const std::uint32_t atoms = sup.atoms();
+    probs.resize(static_cast<std::size_t>(actions) * atoms);
+    q.resize(actions);
+    ml::Vector dist;
+    for (std::uint32_t a = 0; a < actions; a++) {
+        dist.assign(row + a * atoms, row + (a + 1) * atoms);
+        ml::softmax(dist);
+        q[a] = sup.expectation(dist);
+        std::copy(dist.begin(), dist.end(), probs.begin() + a * atoms);
+    }
+}
+
+/** Reference greedy decision: first max of the reference Q values over
+ *  the allowed actions. */
+std::uint32_t
+referenceGreedy(const CategoricalSupport &sup, const float *row,
+                std::uint32_t actions, std::uint32_t mask)
+{
+    std::vector<float> probs;
+    std::vector<double> q;
+    referenceDecode(sup, row, actions, probs, q);
+    const std::uint32_t full = (1u << actions) - 1u;
+    const bool restricted = (mask & full) != full;
+    std::uint32_t best = restricted
+        ? static_cast<std::uint32_t>(std::countr_zero(mask))
+        : 0;
+    double bestQ = -1e300;
+    for (std::uint32_t a = 0; a < actions; a++) {
+        if (restricted && !(mask >> a & 1u))
+            continue;
+        if (q[a] > bestQ) {
+            bestQ = q[a];
+            best = a;
+        }
+    }
+    return best;
+}
+
+/** Same bits, except that any two NaNs match: which NaN payload an x86
+ *  op returns depends on the operand order the compiler picks. */
+template <typename T>
+bool
+sameBits(T a, T b)
+{
+    if (std::isnan(a) || std::isnan(b))
+        return std::isnan(a) && std::isnan(b);
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(C51Decode, MatchesPerActionSoftmaxExpectationBitwise)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const std::uint32_t atoms : {2u, 51u, 64u}) {
+        for (const std::uint32_t actions : {2u, 3u, 4u}) {
+            for (const double vmin : {0.0, -10.0}) {
+                const CategoricalSupport sup(vmin, 12.0, atoms);
+                AgentConfig cfg;
+                cfg.numActions = actions;
+                cfg.atoms = atoms;
+                cfg.vmin = vmin;
+                C51Agent agent(cfg);
+                const std::size_t width =
+                    static_cast<std::size_t>(actions) * atoms;
+                Pcg32 rng(atoms * 131 + actions);
+                std::vector<ml::Vector> rows;
+                for (int kind = 0; kind < 11; kind++) {
+                    ml::Vector r(width);
+                    for (auto &v : r)
+                        v = static_cast<float>(rng.nextDouble(-4.0, 4.0));
+                    const std::uint32_t a = kind % actions;
+                    float *g = r.data() + a * atoms;
+                    switch (kind) {
+                      case 1: g[0] = nan; break;         // NaN max
+                      case 2: g[atoms - 1] = nan; break; // NaN skipped
+                      case 3: // +-0 maxima: all <= 0, first max -0
+                        for (std::uint32_t i = 0; i < atoms; i++)
+                            g[i] = -std::abs(g[i]);
+                        g[0] = -0.0f;
+                        g[atoms - 1] = 0.0f;
+                        break;
+                      case 4: // +0 first, -0 later
+                        for (std::uint32_t i = 0; i < atoms; i++)
+                            g[i] = -std::abs(g[i]);
+                        g[atoms / 2] = 0.0f;
+                        g[atoms - 1] = -0.0f;
+                        break;
+                      case 5: g[atoms / 2] = inf; break;
+                      case 6: g[atoms - 1] = -inf; g[0] = inf; break;
+                      case 7: // fastExpf saturation
+                        g[0] = 1e4f;
+                        g[atoms - 1] = -1e4f;
+                        break;
+                      case 8: // exact Q tie: every action the same
+                        for (std::uint32_t b = 1; b < actions; b++)
+                            std::copy(r.begin(), r.begin() + atoms,
+                                      r.begin() + b * atoms);
+                        break;
+                      case 9: // all -Inf group
+                        std::fill(g, g + atoms, -inf);
+                        break;
+                      case 10: // every logit well below zero
+                        for (std::uint32_t i = 0; i < atoms; i++)
+                            g[i] = -20.0f - std::abs(g[i]);
+                        break;
+                      default: break;
+                    }
+                    rows.push_back(r);
+                }
+                std::vector<float> probs(width), refProbs;
+                std::vector<double> q(actions), refQ;
+                for (std::size_t r = 0; r < rows.size(); r++) {
+                    const float *row = rows[r].data();
+                    sup.decode(row, actions, probs.data(), q.data());
+                    referenceDecode(sup, row, actions, refProbs, refQ);
+                    for (std::uint32_t a = 0; a < actions; a++)
+                        ASSERT_TRUE(sameBits(q[a], refQ[a]))
+                            << "atoms " << atoms << " actions " << actions
+                            << " row " << r << " action " << a << ": "
+                            << q[a] << " vs " << refQ[a];
+                    for (std::size_t i = 0; i < width; i++)
+                        ASSERT_TRUE(sameBits(probs[i], refProbs[i]))
+                            << "row " << r << " prob " << i;
+                    for (std::uint32_t mask = 1; mask < (1u << actions);
+                         mask++) {
+                        agent.setActionMask(mask);
+                        ASSERT_EQ(agent.selectActionFromRow(row),
+                                  referenceGreedy(sup, row, actions, mask))
+                            << "row " << r << " mask " << mask;
+                    }
+                }
+                // Exact tie: the first action wins.
+                agent.setActionMask(0xFFFFFFFFu);
+                EXPECT_EQ(agent.selectActionFromRow(rows[8].data()), 0u);
+            }
+        }
+    }
+}
+
+/**
+ * Drives a C51 agent decision by decision on a quantized observation
+ * stream and checks each one against a fresh evaluation of the current
+ * inference network with the reference decode, and each memo hit or
+ * miss against a test-local model of the memo: one set of observations
+ * per sync period, under the full action mask only, started over when
+ * it holds @p memoRows observations.
+ */
+struct DecisionStream
+{
+    DecisionStream(C51Agent &a, std::size_t rows) : agent(a), memoRows(rows)
+    {
+    }
+
+    C51Agent &agent;
+    std::size_t memoRows;
+    Pcg32 data{0x3E30};
+    ml::Vector prev;
+    std::uint32_t prevAction = 0;
+    std::set<std::vector<float>> model;
+    std::uint64_t modelSyncs = 0;
+    std::uint64_t greedy = 0;
+    std::uint64_t restarts = 0;
+    std::uint64_t restartsAfterSync = 0;
+    std::vector<std::uint32_t> actions;
+    std::vector<std::uint32_t> reference;
+
+    /** One decision. @p levels quantizes each feature (0 = continuous);
+     *  @p observe completes the previous transition first. */
+    void
+    step(std::uint32_t mask, std::uint32_t levels, bool observe = true)
+    {
+        const std::uint32_t dim = agent.config().stateDim;
+        const std::uint32_t numActions = agent.config().numActions;
+        ml::Vector s(dim);
+        for (auto &v : s)
+            v = levels ? static_cast<float>(data.nextBounded(levels)) /
+                    static_cast<float>(levels)
+                       : static_cast<float>(data.nextDouble(0.0, 1.0));
+        if (observe && !prev.empty()) {
+            const bool good = prevAction == (prev[0] < 0.5f ? 1u : 0u);
+            agent.observeTransition(prev, prevAction,
+                                    good ? 1.5f : 0.25f, s);
+        }
+        if (agent.stats().weightSyncs != modelSyncs) {
+            modelSyncs = agent.stats().weightSyncs;
+            model.clear();
+        }
+        agent.setActionMask(mask);
+        const AgentStats before = agent.stats();
+        std::uint32_t a = 0;
+        const bool done = agent.selectActionBegin(s, a);
+        const bool explored =
+            agent.stats().randomActions != before.randomActions;
+        const bool hit =
+            agent.stats().decisionMemoHits != before.decisionMemoHits;
+        const float *row = agent.inferenceNetwork().inferRow(s);
+        const std::uint32_t ref =
+            referenceGreedy(agent.support(), row, numActions, mask);
+        if (!done)
+            a = agent.selectActionFromRow(row);
+        actions.push_back(a);
+        reference.push_back(explored ? a : ref);
+
+        bool expectHit = false;
+        const std::uint32_t full = (1u << numActions) - 1u;
+        if (!explored && (mask & full) == full) {
+            greedy++;
+            const std::vector<float> key(s.begin(), s.end());
+            expectHit = model.count(key) != 0;
+            if (!expectHit) {
+                if (model.size() == memoRows) {
+                    model.clear();
+                    restarts++;
+                    restartsAfterSync += modelSyncs > 0;
+                }
+                model.insert(key);
+            }
+        }
+        ASSERT_EQ(hit, expectHit) << "decision " << actions.size();
+        prev = s;
+        prevAction = a;
+    }
+};
+
+TEST(C51DecisionMemo, MatchesFreshEvaluationOfEveryDecision)
+{
+    // Default C51 hyper-parameters at the repo's Sibyl cadence (train
+    // every 125 observations, sync every 500), so the training network
+    // has moved on from the inference network mid-period.
+    AgentConfig cfg;
+    cfg.trainEvery = 125;
+    cfg.targetSyncEvery = 500;
+    C51Agent agent(cfg);
+    DecisionStream d(agent, cfg.targetSyncEvery);
+    for (int i = 0; i < 3000; i++) // fills the buffer, then syncs
+        d.step(0x3, 3);
+    ASSERT_GE(agent.stats().weightSyncs, 3u);
+
+    // Checkpoint round trip mid-period: loading syncs the saved
+    // training weights into the inference network, which changes the
+    // decisions the memo must forget.
+    std::stringstream ckpt;
+    saveCheckpoint(agent, ckpt);
+    ASSERT_EQ(loadCheckpoint(agent, ckpt), "");
+    for (int i = 0; i < 300; i++)
+        d.step(0x3, 3);
+
+    // Action mask toggling between full and restricted: restricted
+    // decisions neither read nor fill the memo.
+    for (int i = 0; i < 600; i++)
+        d.step(i % 3 == 0 ? 0x2u : 0x3u, 3);
+
+    // A burst of decisions on continuous observations without
+    // observing: more distinct observations than memo rows within
+    // one sync period, so the memo starts over mid-period.
+    const std::uint64_t syncs = agent.stats().weightSyncs;
+    for (int i = 0; i < 1200; i++)
+        d.step(0x3, 0, /*observe=*/false);
+    ASSERT_EQ(agent.stats().weightSyncs, syncs);
+    for (int i = 0; i < 600; i++)
+        d.step(0x3, 3);
+
+    EXPECT_EQ(d.actions, d.reference);
+    EXPECT_GE(d.restartsAfterSync, 2u);
+    // The model above checked every hit and miss; the memo must also
+    // matter on a stream like this one.
+    EXPECT_GT(agent.stats().decisionMemoHits, d.greedy / 8);
+    EXPECT_EQ(agent.stats().decisions, d.actions.size());
+}
+
+TEST(C51DecisionMemo, BoltzmannExplorationBypassesMemo)
+{
+    AgentConfig cfg;
+    cfg.trainEvery = 125;
+    cfg.targetSyncEvery = 500;
+    cfg.exploration.kind = ExplorationKind::Boltzmann;
+    C51Agent agent(cfg);
+    DecisionStream d(agent, cfg.targetSyncEvery);
+    for (int i = 0; i < 3000; i++) {
+        d.step(0x3, 3);
+        d.model.clear(); // Boltzmann never consults the memo
+    }
+    ASSERT_GE(agent.stats().weightSyncs, 3u);
+    EXPECT_EQ(agent.stats().decisionMemoHits, 0u);
 }
 
 } // namespace
