@@ -19,7 +19,7 @@
  *     decisions the C51 agent's per-sync decision memo answered: a
  *     repeated observation skips the network, so timing one repeated
  *     observation would time memo hits only.
- *  3. Metadata-op latency (ns) — a mixed recordAccess/map/remap/
+ *  3. Metadata-op latency (ns) — a mixed touch/map/remap/
  *     lruVictim stream against hss::PageMetaTable.
  *
  * SIBYL_BENCH_REQUESTS shrinks the trace for CI smoke runs.
@@ -154,7 +154,7 @@ metadataOpNs(std::size_t pages, std::size_t ops)
         for (std::size_t i = 0; i < n; i++) {
             const PageId p =
                 rng.nextBounded(static_cast<std::uint32_t>(pages));
-            meta.recordAccess(p);
+            meta.touch(p);
             sink += meta.accessCount(p) + meta.accessInterval(p);
             if ((i & 15) == 0) {
                 const PageId victim = meta.lruVictim(p & 1);

@@ -11,8 +11,10 @@ namespace sibyl::hss
 {
 
 HybridSystem::HybridSystem(std::vector<device::DeviceSpec> specs,
-                           std::uint64_t seed)
-    : meta_(static_cast<std::uint32_t>(specs.size()))
+                           std::uint64_t seed, std::uint64_t expectedPages)
+    : meta_(static_cast<std::uint32_t>(specs.size()),
+            expectedPages ? PageMetaTable::slotsFor(expectedPages)
+                          : PageMetaTable::kDefaultSlots)
 {
     if (specs.empty())
         fatal("HybridSystem: need at least one device");
@@ -61,10 +63,11 @@ HybridSystem::freeFraction(DeviceId dev) const
 }
 
 SimTime
-HybridSystem::migratePage(PageId page, DeviceId dst, SimTime now,
+HybridSystem::migratePage(Slot slot, DeviceId dst, SimTime now,
                           bool dataInHand)
 {
-    DeviceId src = meta_.placement(page);
+    const PageId page = meta_.pageAt(slot);
+    const DeviceId src = meta_.placementAt(slot);
     assert(src != kNoDevice && src != dst);
     SimTime cost = 0.0;
     SimTime writeStart = now;
@@ -83,7 +86,7 @@ HybridSystem::migratePage(PageId page, DeviceId dst, SimTime now,
     devices_[src]->releasePages(1);
     devices_[src]->trimPage(page);
     devices_[dst]->occupyPages(1);
-    meta_.remap(page, dst);
+    meta_.remapAt(slot, dst);
     return cost;
 }
 
@@ -105,12 +108,8 @@ HybridSystem::ensureCapacity(DeviceId dev, std::uint64_t pages, SimTime now,
         pages = d.spec().capacityPages; // clamp: request bigger than device
 
     while (d.freePages() < pages) {
-        PageId victim = kInvalidPage;
-        if (picker_)
-            victim = picker_(dev);
-        if (victim == kInvalidPage || meta_.placement(victim) != dev)
-            victim = meta_.lruVictim(dev);
-        if (victim == kInvalidPage)
+        const Slot victim = meta_.lruVictimSlot(dev);
+        if (victim == PageMetaTable::kNil)
             panic("HybridSystem: device full but no victim");
 
         // Evict to the next device down the hierarchy — skipping
@@ -190,15 +189,15 @@ HybridSystem::drainFailedDevice(DeviceId dev, SimTime now)
     ServeResult scratch; // drain is background work: eviction time not
                          // charged to any request
     while (src.usedPages() > 0) {
-        PageId victim = meta_.lruVictim(dev);
-        if (victim == kInvalidPage)
+        const Slot victim = meta_.lruVictimSlot(dev);
+        if (victim == PageMetaTable::kNil)
             panic("HybridSystem: failed device has residents but no "
                   "LRU victim");
         ensureCapacity(target, 1, now, scratch);
         src.releasePages(1);
-        src.trimPage(victim);
+        src.trimPage(meta_.pageAt(victim));
         devices_[target]->occupyPages(1);
-        meta_.remap(victim, target);
+        meta_.remapAt(victim, target);
         drainedPages++;
     }
     counters_.drainedPages += drainedPages;
@@ -227,6 +226,7 @@ ServeResult
 HybridSystem::serve(SimTime now, const trace::Request &req, DeviceId action)
 {
     assert(action < numDevices());
+    assert(req.sizePages >= 1);
     ServeResult result;
     counters_.requests++;
 
@@ -263,27 +263,32 @@ HybridSystem::serve(SimTime now, const trace::Request &req, DeviceId action)
 
     // Touch recency first so this request's resident pages are MRU and
     // cannot be chosen as eviction victims while we make room for the
-    // request's own allocation.
+    // request's own allocation. Each page's slot is resolved here, once:
+    // growing the table before the loop means no later insertion in
+    // this request can rehash it, so the slots stay valid to the end.
+    meta_.reserveFor(req.page, req.sizePages);
+    std::vector<Slot> &slots = requestSlots_;
+    slots.clear();
     for (PageId p = req.page; p < req.endPage(); p++)
-        meta_.recordAccess(p);
+        slots.push_back(meta_.touch(p));
 
     if (req.op == OpType::Write) {
         // All pages of the request will live on `action`. Free the old
         // copies, make room, then perform one foreground write. The set
         // of pages to (re)place is snapshotted before eviction runs so a
         // concurrent eviction cannot inflate it past the reserved space.
-        std::vector<PageId> &toPlace = pageScratch_;
+        std::vector<Slot> &toPlace = slotScratch_;
         toPlace.clear();
         bool anyFaster = false;
         bool anySlower = false;
-        for (PageId p = req.page; p < req.endPage(); p++) {
-            DeviceId cur = meta_.placement(p);
+        for (std::uint32_t k = 0; k < req.sizePages; k++) {
+            const DeviceId cur = meta_.placementAt(slots[k]);
             if (cur == action)
                 continue;
-            toPlace.push_back(p);
+            toPlace.push_back(slots[k]);
             if (cur != kNoDevice) {
                 devices_[cur]->releasePages(1);
-                devices_[cur]->trimPage(p);
+                devices_[cur]->trimPage(req.page + k);
                 if (cur > action)
                     anyFaster = true; // moving up the hierarchy
                 else
@@ -292,12 +297,11 @@ HybridSystem::serve(SimTime now, const trace::Request &req, DeviceId action)
         }
         if (!toPlace.empty())
             ensureCapacity(action, toPlace.size(), now, result);
-        for (PageId p : toPlace) {
-            DeviceId cur = meta_.placement(p);
-            if (cur == kNoDevice)
-                meta_.map(p, action);
+        for (Slot slot : toPlace) {
+            if (meta_.placementAt(slot) == kNoDevice)
+                meta_.mapAt(slot, action);
             else
-                meta_.remap(p, action);
+                meta_.remapAt(slot, action);
             devices_[action]->occupyPages(1);
         }
         if (anyFaster)
@@ -314,23 +318,23 @@ HybridSystem::serve(SimTime now, const trace::Request &req, DeviceId action)
         // Read: first-touch pages materialize on the device the policy
         // chose (the placement decision governs where a request's data
         // lives), then the request is served wherever its pages reside.
-        std::vector<PageId> &firstTouch = pageScratch_;
+        std::vector<Slot> &firstTouch = slotScratch_;
         firstTouch.clear();
-        for (PageId p = req.page; p < req.endPage(); p++)
-            if (meta_.placement(p) == kNoDevice)
-                firstTouch.push_back(p);
+        for (Slot slot : slots)
+            if (meta_.placementAt(slot) == kNoDevice)
+                firstTouch.push_back(slot);
         if (!firstTouch.empty()) {
             ensureCapacity(action, firstTouch.size(), now, result);
-            for (PageId p : firstTouch) {
-                if (meta_.placement(p) != kNoDevice)
+            for (Slot slot : firstTouch) {
+                if (meta_.placementAt(slot) != kNoDevice)
                     continue;
-                meta_.map(p, action);
+                meta_.mapAt(slot, action);
                 devices_[action]->occupyPages(1);
             }
         }
 
         PageId segStart = req.page;
-        DeviceId segDev = meta_.placement(req.page);
+        DeviceId segDev = meta_.placementAt(slots[0]);
         result.servedDevice = segDev;
         auto flushSegment = [&](PageId end) {
             DeviceId server = segDev;
@@ -354,11 +358,11 @@ HybridSystem::serve(SimTime now, const trace::Request &req, DeviceId action)
                 static_cast<std::uint32_t>(end - segStart));
             finish = std::max(finish, t.finishUs);
         };
-        for (PageId p = req.page + 1; p < req.endPage(); p++) {
-            DeviceId cur = meta_.placement(p);
+        for (std::uint32_t k = 1; k < req.sizePages; k++) {
+            const DeviceId cur = meta_.placementAt(slots[k]);
             if (cur != segDev) {
-                flushSegment(p);
-                segStart = p;
+                flushSegment(req.page + k);
+                segStart = req.page + k;
                 segDev = cur;
             }
         }
@@ -371,18 +375,17 @@ HybridSystem::serve(SimTime now, const trace::Request &req, DeviceId action)
         // Snapshot the page set first so evictions triggered while
         // making room cannot grow it. (firstTouch is done with the
         // scratch buffer by this point.)
-        std::vector<PageId> &toMove = pageScratch_;
+        std::vector<Slot> &toMove = slotScratch_;
         toMove.clear();
-        for (PageId p = req.page; p < req.endPage(); p++)
-            if (meta_.placement(p) > action) // slower than requested
-                toMove.push_back(p);
+        for (Slot slot : slots)
+            if (meta_.placementAt(slot) > action) // slower than requested
+                toMove.push_back(slot);
         if (!toMove.empty()) {
             ensureCapacity(action, toMove.size(), finish, result);
-            for (PageId p : toMove) {
-                DeviceId cur = meta_.placement(p);
-                if (cur <= action)
+            for (Slot slot : toMove) {
+                if (meta_.placementAt(slot) <= action)
                     continue; // eviction already landed it there
-                migratePage(p, action, finish, /*dataInHand=*/true);
+                migratePage(slot, action, finish, /*dataInHand=*/true);
             }
             counters_.promotions++;
             result.migrated = true;

@@ -13,7 +13,6 @@
 
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -95,9 +94,14 @@ class HybridSystem
      *              have capacityPages set; the last device should be
      *              large enough to hold the whole working set.
      * @param seed  Seed for device jitter RNGs.
+     * @param expectedPages Distinct pages the system will see (the
+     *              trace's uniquePages()); sizes the metadata table so
+     *              a run never rehashes it. 0 keeps the table's default
+     *              size, which grows on demand.
      */
     explicit HybridSystem(std::vector<device::DeviceSpec> specs,
-                          std::uint64_t seed = 42);
+                          std::uint64_t seed = 42,
+                          std::uint64_t expectedPages = 0);
 
     /** Number of devices. */
     std::uint32_t numDevices() const
@@ -170,32 +174,26 @@ class HybridSystem
     double deviceAvailability(DeviceId dev, SimTime spanStart,
                               SimTime spanEnd) const;
 
-    /**
-     * Install a custom eviction-victim picker (used by the Oracle, which
-     * selects the resident page with the farthest next use). The picker
-     * receives the device to evict from and must return a page currently
-     * resident there, or kInvalidPage to fall back to LRU.
-     */
-    using VictimPicker = std::function<PageId(DeviceId)>;
-    void setVictimPicker(VictimPicker picker) { picker_ = std::move(picker); }
-
     /** Drop all dynamic state (mapping, device queues, counters). */
     void reset();
 
   private:
+    using Slot = PageMetaTable::Slot;
+
     /**
      * Ensure @p pages free pages exist on @p dev at time @p now, evicting
-     * LRU (or picker-chosen) pages to the next slower device. Returns the
-     * total eviction device time and accumulates into @p result.
+     * LRU pages to the next slower device. Accumulates the eviction
+     * device time into @p result.
      */
     void ensureCapacity(DeviceId dev, std::uint64_t pages, SimTime now,
                         ServeResult &result);
 
-    /** Migrate one page from its current device to @p dst at @p now,
-     *  returning the time the copy occupied the devices. When
-     *  @p dataInHand is true the source read is skipped (promotion right
-     *  after a foreground read already holds the data). */
-    SimTime migratePage(PageId page, DeviceId dst, SimTime now,
+    /** Migrate the page in metadata slot @p slot from its current
+     *  device to @p dst at @p now, returning the time the copy occupied
+     *  the devices. When @p dataInHand is true the source read is
+     *  skipped (promotion right after a foreground read already holds
+     *  the data). */
+    SimTime migratePage(Slot slot, DeviceId dst, SimTime now,
                         bool dataInHand = false);
 
     /** First placement-accepting device strictly slower than @p dev per
@@ -211,7 +209,6 @@ class HybridSystem
     std::vector<std::unique_ptr<device::BlockDevice>> devices_;
     PageMetaTable meta_;
     HssCounters counters_;
-    VictimPicker picker_;
 
     /** True when any device spec arms hard faults (set once in the
      *  ctor; gates every health check on the serve path). */
@@ -223,11 +220,13 @@ class HybridSystem
     /** Per-device flag: residents already drained after failure. */
     std::vector<bool> drained_;
 
-    /** Reused page-set scratch for serve()'s snapshot loops (write
-     *  placement set, read first-touch set, promotion set — used one
-     *  at a time), so the steady-state request path performs no heap
-     *  allocation. */
-    std::vector<PageId> pageScratch_;
+    /** Reused scratch, so the steady-state request path performs no
+     *  heap allocation: the slot of each page of the request being
+     *  served, in page order, and the subset one of serve()'s snapshot
+     *  loops works on (write placement set, read first-touch set,
+     *  promotion set — used one at a time). */
+    std::vector<Slot> requestSlots_;
+    std::vector<Slot> slotScratch_;
 };
 
 /**

@@ -1,5 +1,7 @@
 #include "hss/metadata.hh"
 
+#include <sstream>
+
 #include "common/logging.hh"
 
 namespace sibyl::hss
@@ -29,8 +31,18 @@ PageMetaTable::PageMetaTable(std::uint32_t numDevices,
     if (numDevices == 0)
         fatal("PageMetaTable: need at least one device");
     const std::uint64_t slots = roundUpPow2(initialSlots);
-    slots_.assign(slots, Slot());
+    slots_.assign(slots, Entry());
     mask_ = slots - 1;
+}
+
+std::uint64_t
+PageMetaTable::slotsFor(std::uint64_t pages)
+{
+    std::uint64_t slots = roundUpPow2(pages);
+    while (static_cast<double>(pages) >
+           kMaxLoad * static_cast<double>(slots))
+        slots <<= 1;
+    return slots;
 }
 
 std::uint64_t
@@ -44,12 +56,12 @@ PageMetaTable::hashPage(PageId page)
     return x ^ (x >> 31);
 }
 
-std::uint32_t
+PageMetaTable::Slot
 PageMetaTable::find(PageId page) const
 {
     std::uint64_t i = hashPage(page) & mask_;
     while (true) {
-        const Slot &s = slots_[i];
+        const Entry &s = slots_[i];
         if (s.page == page)
             return static_cast<std::uint32_t>(i);
         if (s.page == kInvalidPage)
@@ -58,15 +70,14 @@ PageMetaTable::find(PageId page) const
     }
 }
 
-std::uint32_t
+PageMetaTable::Slot
 PageMetaTable::findOrCreate(PageId page)
 {
-    if (static_cast<double>(size_ + 1) >
-        kMaxLoad * static_cast<double>(slots_.size()))
+    if (!fits(size_ + 1))
         grow();
     std::uint64_t i = hashPage(page) & mask_;
     while (true) {
-        Slot &s = slots_[i];
+        Entry &s = slots_[i];
         if (s.page == page)
             return static_cast<std::uint32_t>(i);
         if (s.page == kInvalidPage) {
@@ -82,15 +93,15 @@ void
 PageMetaTable::grow()
 {
     const std::uint64_t newSize = slots_.size() * 2;
-    std::vector<Slot> old;
+    std::vector<Entry> old;
     old.swap(slots_);
-    slots_.assign(newSize, Slot());
+    slots_.assign(newSize, Entry());
     mask_ = newSize - 1;
 
     // Re-insert every entry, remembering old -> new slot positions so
     // the intrusive LRU links (and the per-device head/tail anchors)
     // can be translated without disturbing chain order.
-    std::vector<std::uint32_t> remap(old.size(), kNil);
+    std::vector<Slot> remap(old.size(), kNil);
     for (std::size_t oi = 0; oi < old.size(); oi++) {
         if (old[oi].page == kInvalidPage)
             continue;
@@ -98,7 +109,7 @@ PageMetaTable::grow()
         while (slots_[i].page != kInvalidPage)
             i = (i + 1) & mask_;
         slots_[i] = old[oi];
-        remap[oi] = static_cast<std::uint32_t>(i);
+        remap[oi] = static_cast<Slot>(i);
     }
     for (auto &s : slots_) {
         if (s.page == kInvalidPage)
@@ -117,9 +128,9 @@ PageMetaTable::grow()
 }
 
 void
-PageMetaTable::unlink(std::uint32_t idx)
+PageMetaTable::unlink(Slot idx)
 {
-    Slot &s = slots_[idx];
+    Entry &s = slots_[idx];
     const DeviceId dev = s.placement;
     if (s.lruPrev != kNil)
         slots_[s.lruPrev].lruNext = s.lruNext;
@@ -134,9 +145,9 @@ PageMetaTable::unlink(std::uint32_t idx)
 }
 
 void
-PageMetaTable::pushFront(std::uint32_t idx, DeviceId dev)
+PageMetaTable::pushFront(Slot idx, DeviceId dev)
 {
-    Slot &s = slots_[idx];
+    Entry &s = slots_[idx];
     s.lruPrev = kNil;
     s.lruNext = heads_[dev];
     if (heads_[dev] != kNil)
@@ -146,42 +157,49 @@ PageMetaTable::pushFront(std::uint32_t idx, DeviceId dev)
         tails_[dev] = idx;
 }
 
-bool
-PageMetaTable::isMapped(PageId page) const
-{
-    const std::uint32_t i = find(page);
-    return i != kNil && slots_[i].placement != kNoDevice;
-}
-
 DeviceId
 PageMetaTable::placement(PageId page) const
 {
-    const std::uint32_t i = find(page);
+    const Slot i = find(page);
     return i == kNil ? kNoDevice : slots_[i].placement;
 }
 
 std::uint64_t
 PageMetaTable::accessCount(PageId page) const
 {
-    const std::uint32_t i = find(page);
+    const Slot i = find(page);
     return i == kNil ? 0 : slots_[i].accessCount;
 }
 
 std::uint64_t
 PageMetaTable::accessInterval(PageId page) const
 {
-    const std::uint32_t i = find(page);
+    const Slot i = find(page);
     if (i == kNil || slots_[i].accessCount == 0)
         return tick_;
     return tick_ - slots_[i].lastAccessTick;
 }
 
 void
-PageMetaTable::recordAccess(PageId page)
+PageMetaTable::reserveFor(PageId first, std::uint32_t n)
+{
+    if (fits(size_ + n))
+        return;
+    // Near the load limit: count only the pages not in the table yet,
+    // so re-touching resident pages never doubles a presized table.
+    std::uint64_t absent = 0;
+    for (PageId p = first; p < first + n; p++)
+        absent += find(p) == kNil ? 1 : 0;
+    while (!fits(size_ + absent))
+        grow();
+}
+
+PageMetaTable::Slot
+PageMetaTable::touch(PageId page)
 {
     tick_++;
-    const std::uint32_t i = findOrCreate(page);
-    Slot &s = slots_[i];
+    const Slot i = findOrCreate(page);
+    Entry &s = slots_[i];
     s.accessCount++;
     s.lastAccessTick = tick_;
     if (s.placement != kNoDevice && heads_[s.placement] != i) {
@@ -192,44 +210,65 @@ PageMetaTable::recordAccess(PageId page)
         unlink(i);
         pushFront(i, dev);
     }
+    return i;
 }
 
 void
 PageMetaTable::map(PageId page, DeviceId dev)
 {
+    mapAt(findOrCreate(page), dev);
+}
+
+void
+PageMetaTable::mapAt(Slot slot, DeviceId dev)
+{
     if (dev >= numDevices_)
         panic("PageMetaTable::map: bad device id");
-    const std::uint32_t i = findOrCreate(page);
-    Slot &s = slots_[i];
+    Entry &s = slots_[slot];
     if (s.placement != kNoDevice)
         panic("PageMetaTable::map: page already mapped");
     s.placement = dev;
-    pushFront(i, dev);
+    pushFront(slot, dev);
     counts_[dev]++;
 }
 
 void
 PageMetaTable::remap(PageId page, DeviceId dev)
 {
+    const Slot i = find(page);
+    if (i == kNil)
+        panic("PageMetaTable::remap: page not mapped");
+    remapAt(i, dev);
+}
+
+void
+PageMetaTable::remapAt(Slot slot, DeviceId dev)
+{
     if (dev >= numDevices_)
         panic("PageMetaTable::remap: bad device id");
-    const std::uint32_t i = find(page);
-    if (i == kNil || slots_[i].placement == kNoDevice)
+    Entry &s = slots_[slot];
+    if (s.placement == kNoDevice)
         panic("PageMetaTable::remap: page not mapped");
-    Slot &s = slots_[i];
     counts_[s.placement]--;
-    unlink(i);
+    unlink(slot);
     s.placement = dev;
-    pushFront(i, dev);
+    pushFront(slot, dev);
     counts_[dev]++;
 }
 
 PageId
 PageMetaTable::lruVictim(DeviceId dev) const
 {
+    const Slot i = lruVictimSlot(dev);
+    return i == kNil ? kInvalidPage : slots_[i].page;
+}
+
+PageMetaTable::Slot
+PageMetaTable::lruVictimSlot(DeviceId dev) const
+{
     if (dev >= numDevices_)
         panic("PageMetaTable::lruVictim: bad device id");
-    return tails_[dev] == kNil ? kInvalidPage : slots_[tails_[dev]].page;
+    return tails_[dev];
 }
 
 std::uint64_t
@@ -247,9 +286,69 @@ PageMetaTable::residency(DeviceId dev) const
         panic("PageMetaTable::residency: bad device id");
     std::vector<PageId> out;
     out.reserve(counts_[dev]);
-    for (std::uint32_t i = tails_[dev]; i != kNil; i = slots_[i].lruPrev)
+    for (Slot i = tails_[dev]; i != kNil; i = slots_[i].lruPrev)
         out.push_back(slots_[i].page);
     return out;
+}
+
+std::string
+PageMetaTable::checkInvariants() const
+{
+    const auto fail = [](const auto &...parts) {
+        std::ostringstream err;
+        (err << ... << parts);
+        return err.str();
+    };
+
+    std::uint64_t occupied = 0;
+    std::uint64_t placed = 0;
+    for (const Entry &s : slots_) {
+        if (s.page == kInvalidPage)
+            continue;
+        occupied++;
+        if (s.placement == kNoDevice &&
+            (s.lruPrev != kNil || s.lruNext != kNil))
+            return fail("unplaced page ", s.page, " has LRU links");
+        if (s.placement != kNoDevice && s.placement >= numDevices_)
+            return fail("page ", s.page, " on bad device ", s.placement);
+        placed += s.placement != kNoDevice ? 1 : 0;
+    }
+    if (occupied != size_)
+        return fail("mappedPages() ", size_, " != ", occupied,
+                    " occupied slots");
+
+    // Walk each chain MRU -> LRU. A chain longer than the placed pages
+    // has a cycle; summed lengths equal to the placed pages, with each
+    // member on its own device, put every placed slot on exactly one
+    // chain.
+    std::uint64_t chained = 0;
+    for (DeviceId d = 0; d < numDevices_; d++) {
+        std::uint64_t len = 0;
+        Slot prev = kNil;
+        for (Slot i = heads_[d]; i != kNil; i = slots_[i].lruNext) {
+            if (i > mask_ || slots_[i].page == kInvalidPage)
+                return fail("device ", d, " chain reaches empty slot ", i);
+            if (slots_[i].placement != d)
+                return fail("page ", slots_[i].page, " placed on ",
+                            slots_[i].placement, " sits on device ", d,
+                            "'s chain");
+            if (slots_[i].lruPrev != prev)
+                return fail("page ", slots_[i].page,
+                            " prev link disagrees on device ", d);
+            if (++len > placed)
+                return fail("device ", d, " chain does not close");
+            prev = i;
+        }
+        if (tails_[d] != prev)
+            return fail("device ", d, " tail is not the chain's end");
+        if (len != counts_[d])
+            return fail("device ", d, " chain holds ", len,
+                        " pages, pagesOn() says ", counts_[d]);
+        chained += len;
+    }
+    if (chained != placed)
+        return fail(chained, " chained pages != ", placed, " placed pages");
+    return "";
 }
 
 void
@@ -260,7 +359,7 @@ PageMetaTable::reset()
     // Keep the slot capacity: reset() precedes a rerun over the same
     // working set, so re-growing would only repeat rehash work.
     for (auto &s : slots_)
-        s = Slot();
+        s = Entry();
     for (std::uint32_t d = 0; d < numDevices_; d++) {
         heads_[d] = kNil;
         tails_[d] = kNil;

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -40,14 +41,24 @@ namespace sibyl::hss
 class PageMetaTable
 {
   public:
-    /** @p initialSlots is rounded up to a power of two (minimum 16).
-     *  The default comfortably holds the scaled-down traces this
-     *  repository replays without rehashing mid-run. */
-    explicit PageMetaTable(std::uint32_t numDevices,
-                           std::uint64_t initialSlots = 1 << 13);
+    /** Index of a page's slot. Stable until the table grows; the
+     *  slot-addressed calls below let one request resolve each of its
+     *  pages once (see HybridSystem::serve). */
+    using Slot = std::uint32_t;
 
-    /** True if the page has ever been mapped. */
-    bool isMapped(PageId page) const;
+    /** Sentinel slot index: no slot (also terminates LRU chains). */
+    static constexpr Slot kNil = 0xFFFFFFFFu;
+
+    /** Slot count of a table not sized for its trace; it grows on
+     *  demand. */
+    static constexpr std::uint64_t kDefaultSlots = 1 << 13;
+
+    /** @p initialSlots is rounded up to a power of two (minimum 16). */
+    explicit PageMetaTable(std::uint32_t numDevices,
+                           std::uint64_t initialSlots = kDefaultSlots);
+
+    /** Slot count that holds @p pages pages without growing. */
+    static std::uint64_t slotsFor(std::uint64_t pages);
 
     /** Device the page lives on, or kNoDevice. */
     DeviceId placement(PageId page) const;
@@ -61,8 +72,17 @@ class PageMetaTable
      */
     std::uint64_t accessInterval(PageId page) const;
 
-    /** Record one access to @p page (bumps count, tick, and recency). */
-    void recordAccess(PageId page);
+    /**
+     * Grow now, if needed, so that touching the @p n pages from
+     * @p first cannot grow the table. The slots those touches return
+     * stay valid until the table next grows (a touch() or map() of a
+     * page not yet in it).
+     */
+    void reserveFor(PageId first, std::uint32_t n);
+
+    /** Record one access to @p page (bumps count, tick, and recency)
+     *  and return its slot. */
+    Slot touch(PageId page);
 
     /** Map an unmapped page onto @p dev. */
     void map(PageId page, DeviceId dev);
@@ -72,6 +92,21 @@ class PageMetaTable
 
     /** Least-recently-used page on @p dev, or kInvalidPage if empty. */
     PageId lruVictim(DeviceId dev) const;
+
+    // --- Slot-addressed forms of the calls above; @p slot must come
+    //     from touch() or lruVictimSlot() with no growth since.
+
+    PageId pageAt(Slot slot) const { return slots_[slot].page; }
+    DeviceId placementAt(Slot slot) const { return slots_[slot].placement; }
+
+    /** map() for the page in @p slot. */
+    void mapAt(Slot slot, DeviceId dev);
+
+    /** remap() for the page in @p slot. */
+    void remapAt(Slot slot, DeviceId dev);
+
+    /** Slot of lruVictim(@p dev), or kNil if @p dev is empty. */
+    Slot lruVictimSlot(DeviceId dev) const;
 
     /** Number of pages mapped to @p dev. */
     std::uint64_t pagesOn(DeviceId dev) const;
@@ -95,51 +130,64 @@ class PageMetaTable
                   static_cast<double>(slots_.size());
     }
 
+    /**
+     * Check the table's structure: every device's LRU chain is closed
+     * with agreeing prev/next links, its length equals pagesOn(dev),
+     * every placed slot sits on exactly its own device's chain, and
+     * mappedPages() equals the occupied slots. Returns "" when all
+     * hold, else a description of the first violation. O(slots).
+     */
+    std::string checkInvariants() const;
+
     void reset();
 
   private:
-    /** Sentinel slot index terminating LRU chains. */
-    static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-
     /** Occupancy fraction that triggers doubling. Probe clusters stay
      *  short below ~0.7 for linear probing. */
     static constexpr double kMaxLoad = 0.60;
 
-    struct Slot
+    struct Entry
     {
         PageId page = kInvalidPage; ///< kInvalidPage marks an empty slot
         std::uint64_t accessCount = 0;
         std::uint64_t lastAccessTick = 0;
-        std::uint32_t lruPrev = kNil; ///< toward MRU
-        std::uint32_t lruNext = kNil; ///< toward LRU
+        Slot lruPrev = kNil; ///< toward MRU
+        Slot lruNext = kNil; ///< toward LRU
         DeviceId placement = kNoDevice;
     };
 
     static std::uint64_t hashPage(PageId page);
 
+    /** True when @p entries occupied slots stay within kMaxLoad. */
+    bool fits(std::uint64_t entries) const
+    {
+        return static_cast<double>(entries) <=
+               kMaxLoad * static_cast<double>(slots_.size());
+    }
+
     /** Probe for @p page; returns its slot index or kNil. */
-    std::uint32_t find(PageId page) const;
+    Slot find(PageId page) const;
 
     /** Probe for @p page, claiming (and growing, if needed) an empty
      *  slot when absent. */
-    std::uint32_t findOrCreate(PageId page);
+    Slot findOrCreate(PageId page);
 
     /** Double the slot array, preserving every LRU chain's order. */
     void grow();
 
     /** Unlink slot @p idx from its device's LRU chain. */
-    void unlink(std::uint32_t idx);
+    void unlink(Slot idx);
 
     /** Link slot @p idx at the MRU end of @p dev's chain. */
-    void pushFront(std::uint32_t idx, DeviceId dev);
+    void pushFront(Slot idx, DeviceId dev);
 
     std::uint32_t numDevices_;
     std::uint64_t tick_ = 0;
     std::uint64_t size_ = 0;    ///< occupied slots (pages ever seen)
     std::uint64_t mask_ = 0;    ///< slots_.size() - 1 (power of two)
-    std::vector<Slot> slots_;
-    std::vector<std::uint32_t> heads_;  ///< per-device MRU slot index
-    std::vector<std::uint32_t> tails_;  ///< per-device LRU slot index
+    std::vector<Entry> slots_;
+    std::vector<Slot> heads_;           ///< per-device MRU slot index
+    std::vector<Slot> tails_;           ///< per-device LRU slot index
     std::vector<std::uint64_t> counts_; ///< per-device resident pages
 };
 

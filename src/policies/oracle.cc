@@ -1,6 +1,7 @@
 #include "policies/oracle.hh"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace sibyl::policies
 {
@@ -10,12 +11,26 @@ OraclePolicy::OraclePolicy(const OracleConfig &cfg) : cfg_(cfg) {}
 void
 OraclePolicy::prepare(const trace::Trace &t, hss::HybridSystem &sys)
 {
-    sys_ = &sys;
-    accesses_.clear();
-    for (std::size_t i = 0; i < t.size(); i++) {
+    // Sweep the trace backwards keeping, per page, the next request
+    // that touches it: a request's soonest reuse is the minimum over
+    // its pages before they are re-stamped with its own index. (The
+    // pages of one request are distinct, so re-stamping one cannot
+    // feed another's minimum.)
+    soonest_.assign(t.size(), kNever);
+    std::unordered_map<PageId, std::uint32_t> nextUse;
+    nextUse.reserve(t.uniquePages());
+    for (std::size_t i = t.size(); i-- > 0;) {
         const auto &r = t[i];
-        for (PageId p = r.page; p < r.endPage(); p++)
-            accesses_[p].push_back(static_cast<std::uint32_t>(i));
+        const auto idx = static_cast<std::uint32_t>(i);
+        std::uint32_t soonest = kNever;
+        for (PageId p = r.page; p < r.endPage(); p++) {
+            auto [it, fresh] = nextUse.try_emplace(p, idx);
+            if (!fresh) {
+                soonest = std::min(soonest, it->second);
+                it->second = idx;
+            }
+        }
+        soonest_[i] = soonest;
     }
 
     lookahead_ = cfg_.lookaheadRequests;
@@ -38,67 +53,6 @@ OraclePolicy::prepare(const trace::Trace &t, hss::HybridSystem &sys)
     double evictCost = (fast.readLatencyUs + slowWrite) /
         device::kMigrationBatch;
     absorbDeadWrites_ = slowWrite > fast.writeLatencyUs + 2.0 * evictCost;
-
-    // Optional per-page Belady victim selection (see OracleConfig).
-    if (cfg_.beladyVictims)
-        sys.setVictimPicker(
-            [this](DeviceId dev) { return pickVictim(dev); });
-}
-
-std::size_t
-OraclePolicy::nextUse(PageId page, std::size_t after) const
-{
-    auto it = accesses_.find(page);
-    if (it == accesses_.end())
-        return SIZE_MAX;
-    const auto &v = it->second;
-    auto pos = std::upper_bound(v.begin(), v.end(),
-                                static_cast<std::uint32_t>(after));
-    return pos == v.end() ? SIZE_MAX : static_cast<std::size_t>(*pos);
-}
-
-PageId
-OraclePolicy::pickVictim(DeviceId dev)
-{
-    if (!sys_ || dev != 0)
-        return kInvalidPage; // only manage the fast device
-
-    while (!fastHeap_.empty()) {
-        auto [recordedNext, page] = fastHeap_.top();
-        if (sys_->placement(page) != dev) {
-            fastHeap_.pop(); // page has moved; stale entry
-            continue;
-        }
-        std::size_t fresh = nextUse(page, currentIndex_);
-        if (fresh != recordedNext) {
-            // Entry is stale (page was re-accessed); refresh lazily.
-            fastHeap_.pop();
-            fastHeap_.push({fresh, page});
-            continue;
-        }
-        return page;
-    }
-    return kInvalidPage; // fall back to LRU inside the system
-}
-
-std::size_t
-OraclePolicy::farthestResidentUse()
-{
-    while (!fastHeap_.empty()) {
-        auto [recordedNext, page] = fastHeap_.top();
-        if (sys_->placement(page) != 0) {
-            fastHeap_.pop();
-            continue;
-        }
-        std::size_t fresh = nextUse(page, currentIndex_);
-        if (fresh != recordedNext) {
-            fastHeap_.pop();
-            fastHeap_.push({fresh, page});
-            continue;
-        }
-        return recordedNext;
-    }
-    return SIZE_MAX;
 }
 
 DeviceId
@@ -108,7 +62,6 @@ OraclePolicy::selectPlacement(const hss::HybridSystem &sys,
 {
     const DeviceId fast = 0;
     const DeviceId slow = sys.numDevices() - 1;
-    currentIndex_ = reqIndex;
 
     // Admission with complete future knowledge:
     //  - cache pages whose next use falls within a window calibrated to
@@ -116,34 +69,20 @@ OraclePolicy::selectPlacement(const hss::HybridSystem &sys,
     //    before they pay off), and
     //  - absorb small random writes when the slow device's positioning
     //    cost exceeds the eventual eviction cost (computed in prepare()).
-    std::size_t soonest = SIZE_MAX;
-    for (PageId p = req.page; p < req.endPage(); p++)
-        soonest = std::min(soonest, nextUse(p, reqIndex));
-
-    bool cacheWorthy =
-        soonest != SIZE_MAX && soonest - reqIndex <= lookahead_;
+    const std::uint32_t soonest =
+        reqIndex < soonest_.size() ? soonest_[reqIndex] : kNever;
+    bool cacheWorthy = soonest != kNever && soonest - reqIndex <= lookahead_;
     if (!cacheWorthy && absorbDeadWrites_ && req.op == OpType::Write &&
         req.sizePages <= 8) {
         cacheWorthy = true;
     }
-
-    if (cacheWorthy) {
-        if (cfg_.beladyVictims) {
-            for (PageId p = req.page; p < req.endPage(); p++)
-                fastHeap_.push({nextUse(p, reqIndex), p});
-        }
-        return fast;
-    }
-    return slow;
+    return cacheWorthy ? fast : slow;
 }
 
 void
 OraclePolicy::reset()
 {
-    accesses_.clear();
-    currentIndex_ = 0;
-    fastHeap_ = {};
-    sys_ = nullptr;
+    soonest_.clear();
     absorbDeadWrites_ = false;
 }
 

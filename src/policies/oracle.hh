@@ -2,17 +2,18 @@
  * @file
  * Oracle policy [113] — complete future knowledge.
  *
- * The upper bound every figure compares against: with the full trace in
- * hand, the oracle (1) places a request's pages in fast storage exactly
- * when they will be reused soon, and (2) selects eviction victims by
- * Belady's rule — the resident page whose next use is farthest in the
- * future.
+ * A future-knowledge heuristic, not a proven bound: with the full trace
+ * in hand, the oracle places a request's pages in fast storage exactly
+ * when they will be reused soon, and leaves eviction to the system's
+ * LRU. Measured against the other policies it is not always best (under
+ * H&M it trails Slow-Only on some write-heavy workloads), so figures
+ * that normalize to it compare against a strong heuristic, not an
+ * upper bound.
  */
 
 #pragma once
 
-#include <queue>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "policies/policy.hh"
@@ -33,15 +34,6 @@ struct OracleConfig
 
     /** Window derivation factor when lookaheadRequests == 0. */
     double lookaheadPerPage = 1.0;
-
-    /**
-     * Use per-page Belady (farthest-next-use) victim selection instead
-     * of the system's LRU. Off by default: per-page Belady fragments
-     * request extents (evicting one far-future page from an otherwise
-     * hot extent makes every later request on that extent pay the slow
-     * device), while LRU keeps co-accessed pages resident together.
-     */
-    bool beladyVictims = false;
 };
 
 /** The Oracle policy. */
@@ -52,7 +44,8 @@ class OraclePolicy : public PlacementPolicy
 
     std::string name() const override { return "Oracle"; }
 
-    /** Index all future accesses and install the Belady victim picker. */
+    /** Find every request's soonest future reuse in one backward sweep
+     *  of @p t, and derive the lookahead and write policy from @p sys. */
     void prepare(const trace::Trace &t, hss::HybridSystem &sys) override;
 
     DeviceId selectPlacement(const hss::HybridSystem &sys,
@@ -62,31 +55,17 @@ class OraclePolicy : public PlacementPolicy
     void reset() override;
 
   private:
-    /** First access to @p page strictly after request @p after, or
-     *  SIZE_MAX if never accessed again. */
-    std::size_t nextUse(PageId page, std::size_t after) const;
-
-    /** Belady victim: resident page on @p dev with the farthest next
-     *  use. Uses a lazy max-heap; returns kInvalidPage on miss. */
-    PageId pickVictim(DeviceId dev);
-
-    /** Farthest next use among fast-resident pages (cleans the heap
-     *  lazily); SIZE_MAX when unknown/empty. */
-    std::size_t farthestResidentUse();
+    /** soonest_ entry of a request none of whose pages recur. */
+    static constexpr std::uint32_t kNever = UINT32_MAX;
 
     OracleConfig cfg_;
-    const hss::HybridSystem *sys_ = nullptr;
 
-    /** page -> sorted request indices that touch it. */
-    std::unordered_map<PageId, std::vector<std::uint32_t>> accesses_;
+    /** Per request index: the first later request that touches any of
+     *  its pages, or kNever. */
+    std::vector<std::uint32_t> soonest_;
 
-    std::size_t currentIndex_ = 0;
     std::size_t lookahead_ = 0;
     bool absorbDeadWrites_ = false;
-
-    /** Lazy max-heap of (nextUseIndex, page) for fast-resident pages. */
-    using HeapEntry = std::pair<std::size_t, PageId>;
-    std::priority_queue<HeapEntry> fastHeap_;
 };
 
 } // namespace sibyl::policies

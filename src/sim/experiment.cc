@@ -26,7 +26,7 @@ computeFastOnlyBaseline(const ExperimentConfig &cfg, const trace::Trace &t)
     // fast device is sized to hold the entire working set.
     auto specs = hss::makeHssConfig(cfg.hssConfig, t.uniquePages(),
                                     /*fastCapacityFrac=*/1.6);
-    hss::HybridSystem sys(std::move(specs), cfg.seed);
+    hss::HybridSystem sys(std::move(specs), cfg.seed, t.uniquePages());
     policies::FastOnlyPolicy fastOnly;
     return runSimulation(t, sys, fastOnly, cfg.sim);
 }
@@ -40,7 +40,7 @@ runPolicyExperiment(const ExperimentConfig &cfg, const trace::Trace &t,
                                     cfg.fastCapacityFrac);
     if (cfg.specTweak)
         cfg.specTweak(specs);
-    hss::HybridSystem sys(std::move(specs), cfg.seed);
+    hss::HybridSystem sys(std::move(specs), cfg.seed, t.uniquePages());
 
     PolicyResult r;
     r.policy = policy.name();

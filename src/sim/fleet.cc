@@ -148,7 +148,8 @@ runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
         }
         st.sys = std::make_unique<hss::HybridSystem>(
             std::move(specs),
-            ParallelRunner::deriveStream(st.key, kDeviceJitterSalt));
+            ParallelRunner::deriveStream(st.key, kDeviceJitterSalt),
+            st.trace->uniquePages());
 
         core::SibylConfig scfg = spec.sibylCfg;
         scfg.seed = ParallelRunner::deriveStream(st.key, kAgentSalt);

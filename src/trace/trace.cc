@@ -9,11 +9,17 @@ namespace sibyl::trace
 std::uint64_t
 Trace::uniquePages() const
 {
+    std::uint64_t count = uniquePages_.get();
+    if (count != CountMemo::kUnknown)
+        return count;
+
     std::unordered_set<PageId> pages;
     for (const auto &r : requests_)
         for (PageId p = r.page; p < r.endPage(); p++)
             pages.insert(p);
-    return pages.size();
+    count = pages.size();
+    uniquePages_.set(count);
+    return count;
 }
 
 std::uint64_t
@@ -43,6 +49,7 @@ Trace::sortByTime()
 void
 Trace::merge(const Trace &other, SimTime offset)
 {
+    uniquePages_.clear();
     requests_.reserve(requests_.size() + other.size());
     for (const auto &r : other) {
         Request shifted = r;

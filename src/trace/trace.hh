@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -51,18 +52,29 @@ class Trace
     const std::string &name() const { return name_; }
     void setName(std::string n) { name_ = std::move(n); }
 
-    void add(const Request &r) { requests_.push_back(r); }
+    void add(const Request &r)
+    {
+        requests_.push_back(r);
+        uniquePages_.clear();
+    }
     void reserve(std::size_t n) { requests_.reserve(n); }
 
     std::size_t size() const { return requests_.size(); }
     bool empty() const { return requests_.empty(); }
     const Request &operator[](std::size_t i) const { return requests_[i]; }
-    Request &operator[](std::size_t i) { return requests_[i]; }
+    /** Writable request; drops the uniquePages() memo. */
+    Request &operator[](std::size_t i)
+    {
+        uniquePages_.clear();
+        return requests_[i];
+    }
 
     auto begin() const { return requests_.begin(); }
     auto end() const { return requests_.end(); }
 
-    /** Number of distinct pages referenced anywhere in the trace. */
+    /** Number of distinct pages referenced anywhere in the trace.
+     *  Computed on first use and memoized until the next mutation;
+     *  safe to call concurrently on a shared const trace. */
     std::uint64_t uniquePages() const;
 
     /** Working-set size in bytes (uniquePages * 4 KiB). */
@@ -87,8 +99,50 @@ class Trace
     void compressTime(double factor);
 
   private:
+    /**
+     * Memo of uniquePages(). A copy carries it; a move carries it and
+     * clears it in the moved-from trace, whose requests are gone.
+     * Threads that race on the first call compute the same count, so
+     * a relaxed atomic store suffices.
+     */
+    class CountMemo
+    {
+      public:
+        static constexpr std::uint64_t kUnknown = ~std::uint64_t{0};
+
+        CountMemo() = default;
+        CountMemo(const CountMemo &o) : value_(o.get()) {}
+        CountMemo(CountMemo &&o) noexcept : value_(o.get()) { o.clear(); }
+        CountMemo &operator=(const CountMemo &o)
+        {
+            set(o.get());
+            return *this;
+        }
+        CountMemo &operator=(CountMemo &&o) noexcept
+        {
+            const std::uint64_t v = o.get();
+            o.clear();
+            set(v);
+            return *this;
+        }
+
+        std::uint64_t get() const
+        {
+            return value_.load(std::memory_order_relaxed);
+        }
+        void set(std::uint64_t v) const
+        {
+            value_.store(v, std::memory_order_relaxed);
+        }
+        void clear() { set(kUnknown); }
+
+      private:
+        mutable std::atomic<std::uint64_t> value_{kUnknown};
+    };
+
     std::string name_;
     std::vector<Request> requests_;
+    CountMemo uniquePages_;
 };
 
 } // namespace sibyl::trace

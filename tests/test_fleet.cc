@@ -84,8 +84,9 @@ TEST(TraceMultiplexer, NeverReordersWithinATenant)
     std::vector<std::uint32_t> lastIndex(mux.tenantCount(), 0);
     std::vector<bool> seen(mux.tenantCount(), false);
     for (const auto &e : mux) {
-        if (seen[e.tenant])
+        if (seen[e.tenant]) {
             EXPECT_GT(e.index, lastIndex[e.tenant]);
+        }
         seen[e.tenant] = true;
         lastIndex[e.tenant] = e.index;
     }

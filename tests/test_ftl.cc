@@ -781,8 +781,9 @@ TEST_P(FtlPropertyTest, RandomOpsPreserveInvariants)
             f.trim(p);
             live.erase(p);
         }
-        if (i % 1000 == 0)
+        if (i % 1000 == 0) {
             ASSERT_EQ(f.checkInvariants(), "") << "iteration " << i;
+        }
     }
     EXPECT_EQ(f.mappedPages(), live.size());
     EXPECT_EQ(f.checkInvariants(), "");

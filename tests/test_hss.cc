@@ -42,14 +42,14 @@ TEST(PageMetaTable, AccessCountAndInterval)
 {
     PageMetaTable meta(2);
     EXPECT_EQ(meta.accessCount(5), 0u);
-    meta.recordAccess(5);
-    meta.recordAccess(6);
-    meta.recordAccess(5);
+    meta.touch(5);
+    meta.touch(6);
+    meta.touch(5);
     EXPECT_EQ(meta.accessCount(5), 2u);
     // 5 last touched at tick 3; current tick 3 -> interval 0.
     EXPECT_EQ(meta.accessInterval(5), 0u);
-    meta.recordAccess(7);
-    meta.recordAccess(8);
+    meta.touch(7);
+    meta.touch(8);
     EXPECT_EQ(meta.accessInterval(5), 2u);
     // Unknown page: interval == current tick (i.e., "forever ago").
     EXPECT_EQ(meta.accessInterval(99), meta.tick());
@@ -60,10 +60,10 @@ TEST(PageMetaTable, LruOrdering)
     PageMetaTable meta(2);
     for (PageId p : {1, 2, 3}) {
         meta.map(p, 0);
-        meta.recordAccess(p);
+        meta.touch(p);
     }
     EXPECT_EQ(meta.lruVictim(0), 1u);
-    meta.recordAccess(1); // 1 becomes MRU
+    meta.touch(1); // 1 becomes MRU
     EXPECT_EQ(meta.lruVictim(0), 2u);
     EXPECT_EQ(meta.pagesOn(0), 3u);
     EXPECT_EQ(meta.lruVictim(1), kInvalidPage);
@@ -170,22 +170,6 @@ TEST(HybridSystem, LruVictimSelectedByDefault)
     sys.serve(3.0, req(9, 1, OpType::Write), 0);
     EXPECT_EQ(sys.placement(2), 1u); // LRU page 2 evicted
     EXPECT_EQ(sys.placement(1), 0u);
-}
-
-TEST(HybridSystem, CustomVictimPickerUsed)
-{
-    HybridSystem sys(tinyConfig(/*fastPages=*/2));
-    sys.serve(0.0, req(1, 1, OpType::Write), 0);
-    sys.serve(1.0, req(2, 1, OpType::Write), 0);
-    // Always evict page 2's *opposite* of LRU: pick the MRU page 2...
-    sys.setVictimPicker([](DeviceId) { return PageId{2}; });
-    sys.serve(2.0, req(1, 1, OpType::Read), 0); // 1 MRU, 2 LRU anyway
-    sys.serve(3.0, req(9, 1, OpType::Write), 0);
-    EXPECT_EQ(sys.placement(2), 1u);
-    // Picker returning an invalid page falls back to LRU.
-    sys.setVictimPicker([](DeviceId) { return kInvalidPage; });
-    sys.serve(4.0, req(10, 1, OpType::Write), 0);
-    EXPECT_LE(sys.device(0).usedPages(), 2u);
 }
 
 TEST(HybridSystem, OversizedRequestOverflowsToSlow)
@@ -320,7 +304,7 @@ class LegacyPageMetaTable
         return tick_ - it->second.lastAccessTick;
     }
 
-    void recordAccess(PageId page)
+    void touch(PageId page)
     {
         tick_++;
         auto &m = meta_[page];
@@ -404,8 +388,8 @@ TEST(PageMetaTable, DifferentialAgainstLegacyOracle)
         const PageId page = rng.nextBounded(700);
         const auto op = rng.nextBounded(10);
         if (op < 6) {
-            flat.recordAccess(page);
-            legacy.recordAccess(page);
+            flat.touch(page);
+            legacy.touch(page);
         } else if (op < 8) {
             if (legacy.placement(page) == kNoDevice) {
                 const DeviceId dev = rng.nextBounded(3);
@@ -425,6 +409,7 @@ TEST(PageMetaTable, DifferentialAgainstLegacyOracle)
             }
         }
 
+        ASSERT_EQ(flat.checkInvariants(), "") << "op " << i;
         ASSERT_EQ(flat.tick(), legacy.tick());
         ASSERT_EQ(flat.mappedPages(), legacy.mappedPages());
         ASSERT_EQ(flat.placement(page), legacy.placement(page));
@@ -448,7 +433,7 @@ TEST(PageMetaTable, GrowthPreservesStateAcrossRehash)
     // Map enough pages to force several doublings.
     for (PageId p = 0; p < 500; p++) {
         meta.map(p, static_cast<DeviceId>(p % 2));
-        meta.recordAccess(p);
+        meta.touch(p);
     }
     EXPECT_GT(meta.slotCapacity(), startCap);
     EXPECT_LE(meta.loadFactor(), 0.6);
@@ -471,7 +456,7 @@ TEST(PageMetaTable, TickMonotonicityAndIntervalSemantics)
     Pcg32 rng(0x71C);
     for (int i = 0; i < 1000; i++) {
         const PageId p = rng.nextBounded(50);
-        meta.recordAccess(p);
+        meta.touch(p);
         // The tick advances by exactly one per page access, never by
         // map/remap/queries.
         ASSERT_EQ(meta.tick(), lastTick + 1);
@@ -483,6 +468,90 @@ TEST(PageMetaTable, TickMonotonicityAndIntervalSemantics)
     }
     // Unseen pages read "forever ago" == current tick.
     EXPECT_EQ(meta.accessInterval(99999), meta.tick());
+}
+
+/**
+ * Slot stability across growth: serve() resolves each page's metadata
+ * slot once, so the table must grow before the request's touch loop,
+ * never inside it. A system whose table starts at 16 slots serves
+ * multi-page requests whose first touches cross the grow threshold in
+ * the middle of a request; a system presized for the trace serves the
+ * same requests. Every outcome, counter and LRU order must agree, and
+ * the growing table must pass its invariant check after every serve.
+ */
+TEST(HybridSystem, GrowingTableServesLikePresized)
+{
+    constexpr PageId kUniverse = 3000;
+    HybridSystem grown(tinyConfig(/*fastPages=*/48, /*slowPages=*/8192),
+                       7, /*expectedPages=*/1);
+    HybridSystem presized(tinyConfig(/*fastPages=*/48, /*slowPages=*/8192),
+                          7, /*expectedPages=*/kUniverse);
+    ASSERT_EQ(grown.metadata().slotCapacity(), 16u);
+    const std::uint64_t presizedSlots = presized.metadata().slotCapacity();
+
+    Pcg32 rng(0x5107);
+    PageId frontier = 0;
+    std::uint64_t midRequestGrowths = 0;
+    for (int i = 0; i < 4000; i++) {
+        // Mostly fresh multi-page extents at the frontier (so first
+        // touches keep crossing the threshold), else reuse of old ones.
+        const auto size = static_cast<std::uint32_t>(2 + rng.nextBounded(11));
+        PageId page;
+        if (frontier + size < kUniverse && rng.nextBounded(3) != 0) {
+            page = frontier;
+            frontier += size;
+        } else {
+            page = rng.nextBounded(static_cast<std::uint32_t>(
+                std::max<PageId>(frontier, 1)));
+            if (page + size > kUniverse)
+                page = kUniverse - size;
+        }
+        const OpType op =
+            rng.nextBounded(3) == 0 ? OpType::Write : OpType::Read;
+        const auto action = static_cast<DeviceId>(rng.nextBounded(2));
+        const SimTime now = 10.0 * i;
+        const trace::Request r = req(page, size, op, now);
+
+        const std::uint64_t slotsBefore = grown.metadata().slotCapacity();
+        const std::uint64_t pagesBefore = grown.metadata().mappedPages();
+        const ServeResult a = grown.serve(now, r, action);
+        const ServeResult b = presized.serve(now, r, action);
+        if (grown.metadata().slotCapacity() != slotsBefore &&
+            grown.metadata().mappedPages() - pagesBefore >= 2)
+            midRequestGrowths++;
+
+        ASSERT_EQ(grown.metadata().checkInvariants(), "") << "request " << i;
+        ASSERT_EQ(presized.metadata().checkInvariants(), "")
+            << "request " << i;
+        ASSERT_EQ(a.latencyUs, b.latencyUs) << "request " << i;
+        ASSERT_EQ(a.finishUs, b.finishUs);
+        ASSERT_EQ(a.servedDevice, b.servedDevice);
+        ASSERT_EQ(a.eviction, b.eviction);
+        ASSERT_EQ(a.evictionTimeUs, b.evictionTimeUs);
+        ASSERT_EQ(a.evictedPages, b.evictedPages);
+        ASSERT_EQ(a.migrated, b.migrated);
+        ASSERT_EQ(a.placedDevice, b.placedDevice);
+        ASSERT_EQ(a.redirected, b.redirected);
+    }
+    // The stream really grew the table through requests that added
+    // several pages at once, and the presized table never grew.
+    EXPECT_GE(midRequestGrowths, 5u);
+    EXPECT_GT(grown.metadata().slotCapacity(), 16u);
+    EXPECT_EQ(presized.metadata().slotCapacity(), presizedSlots);
+
+    const HssCounters &ca = grown.counters();
+    const HssCounters &cb = presized.counters();
+    EXPECT_EQ(ca.requests, cb.requests);
+    EXPECT_EQ(ca.evictionEvents, cb.evictionEvents);
+    EXPECT_EQ(ca.evictedPages, cb.evictedPages);
+    EXPECT_EQ(ca.promotions, cb.promotions);
+    EXPECT_EQ(ca.demotions, cb.demotions);
+    EXPECT_EQ(ca.placements, cb.placements);
+    EXPECT_GT(ca.evictedPages, 0u);
+    EXPECT_GT(ca.promotions, 0u);
+    for (DeviceId d = 0; d < 2; d++)
+        EXPECT_EQ(grown.metadata().residency(d),
+                  presized.metadata().residency(d));
 }
 
 TEST(MakeHssConfig, RejectsUnknownShorthandListingValidNames)

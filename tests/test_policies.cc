@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "hss/hybrid_system.hh"
 #include "policies/archivist.hh"
 #include "policies/cde.hh"
@@ -15,6 +16,9 @@
 #include "policies/static_policies.hh"
 #include "policies/tri_heuristic.hh"
 #include "trace/workloads.hh"
+
+#include <algorithm>
+#include <unordered_map>
 
 namespace sibyl::policies
 {
@@ -190,33 +194,126 @@ TEST(Oracle, AdmitsReusedDeniesSingleUse)
     EXPECT_EQ(oracle.selectPlacement(sys, t[1], 1), 1u); // never again
 }
 
-TEST(Oracle, BeladyVictimIsFarthestFuture)
+/**
+ * Reference next-use index: per page, the sorted request indices that
+ * touch it, searched with upper_bound. The slow, obviously-right answer
+ * that the Oracle's one backward sweep in prepare() is checked against.
+ */
+class NextUseReference
 {
-    OracleConfig ocfg;
-    ocfg.beladyVictims = true;
-    trace::Trace t("crafted");
-    // Three pages admitted; page 30 reused farthest in the future.
-    t.add({0.0, 10, 1, OpType::Write});
-    t.add({1.0, 20, 1, OpType::Write});
-    t.add({2.0, 30, 1, OpType::Write});
-    t.add({3.0, 40, 1, OpType::Write}); // forces eviction (cap 3)
-    t.add({4.0, 10, 1, OpType::Read});
-    t.add({5.0, 20, 1, OpType::Read});
-    t.add({6.0, 40, 1, OpType::Read});
-    t.add({9.0, 30, 1, OpType::Read}); // farthest
-    auto specs = config(/*fastPages=*/3);
-    hss::HybridSystem sys(specs);
-    OraclePolicy oracle(ocfg);
-    oracle.prepare(t, sys);
-    for (std::size_t i = 0; i < 4; i++) {
-        auto a = oracle.selectPlacement(sys, t[i], i);
-        sys.serve(t[i].timestamp, t[i], a);
+  public:
+    explicit NextUseReference(const trace::Trace &t)
+    {
+        for (std::size_t i = 0; i < t.size(); i++)
+            for (PageId p = t[i].page; p < t[i].endPage(); p++)
+                accesses_[p].push_back(static_cast<std::uint32_t>(i));
     }
-    // Page 30 (farthest next use) was evicted to make room for 40.
-    EXPECT_EQ(sys.placement(30), 1u);
-    EXPECT_EQ(sys.placement(10), 0u);
-    EXPECT_EQ(sys.placement(20), 0u);
-    EXPECT_EQ(sys.placement(40), 0u);
+
+    /** First request after @p after touching @p page, or SIZE_MAX. */
+    std::size_t nextUse(PageId page, std::size_t after) const
+    {
+        auto it = accesses_.find(page);
+        if (it == accesses_.end())
+            return SIZE_MAX;
+        const auto &v = it->second;
+        auto pos = std::upper_bound(v.begin(), v.end(),
+                                    static_cast<std::uint32_t>(after));
+        return pos == v.end() ? SIZE_MAX : static_cast<std::size_t>(*pos);
+    }
+
+  private:
+    std::unordered_map<PageId, std::vector<std::uint32_t>> accesses_;
+};
+
+/** True when the Oracle under @p specs absorbs single-use small writes
+ *  (probed with a one-request trace whose page never recurs). */
+bool
+absorbsDeadWrites(const std::vector<device::DeviceSpec> &specs)
+{
+    trace::Trace t("probe");
+    t.add({0.0, 1, 1, OpType::Write});
+    hss::HybridSystem sys(specs);
+    OraclePolicy oracle;
+    oracle.prepare(t, sys);
+    return oracle.selectPlacement(sys, t[0], 0) == 0;
+}
+
+/**
+ * Every Oracle decision on random traces equals the one the reference
+ * index gives: fast iff the request's soonest reuse lies within the
+ * lookahead, or it is a small write the slow device would pay more for.
+ * The traces mix reads and writes with multi-page extents, overlap
+ * extents across requests, give different pages of one request
+ * different next uses, and plant reuses exactly at the lookahead edge.
+ */
+TEST(Oracle, AdmissionMatchesPerPageIndexReference)
+{
+    constexpr std::size_t kLookahead = 40;
+    const std::vector<std::vector<device::DeviceSpec>> configs = {
+        config(), hss::makeHssConfig("H&L", 2000, 0.10)};
+    std::size_t atEdge = 0;
+    std::size_t pastEdge = 0;
+    std::size_t minFromLaterPage = 0;
+    std::size_t absorbedWrites = 0;
+    for (const auto &specs : configs) {
+        const bool absorb = absorbsDeadWrites(specs);
+        for (std::uint64_t seed = 1; seed <= 3; seed++) {
+            Pcg32 rng(seed * 0x9E37);
+            trace::Trace t("random");
+            for (std::size_t i = 0; i < 3000; i++) {
+                trace::Request r;
+                r.timestamp = static_cast<double>(i);
+                r.sizePages = 1 + rng.nextBounded(12);
+                r.op = rng.nextBounded(3) == 0 ? OpType::Write
+                                               : OpType::Read;
+                const std::uint32_t pick = rng.nextBounded(8);
+                if (pick == 0 && i >= kLookahead) {
+                    // Reuse exactly at the lookahead edge, or one past.
+                    r.page = t[i - kLookahead - rng.nextBounded(2)].page;
+                } else if (pick == 1 && i > 0) {
+                    // Overlap the previous extent's tail.
+                    r.page = t[i - 1].endPage() - 1;
+                } else {
+                    r.page = rng.nextBounded(1500);
+                }
+                t.add(r);
+            }
+
+            hss::HybridSystem sys(specs);
+            OracleConfig ocfg;
+            ocfg.lookaheadRequests = kLookahead;
+            OraclePolicy oracle(ocfg);
+            oracle.prepare(t, sys);
+            const NextUseReference ref(t);
+            const DeviceId slow = sys.numDevices() - 1;
+            for (std::size_t i = 0; i < t.size(); i++) {
+                const trace::Request &r = t[i];
+                std::size_t soonest = SIZE_MAX;
+                for (PageId p = r.page; p < r.endPage(); p++) {
+                    const std::size_t next = ref.nextUse(p, i);
+                    if (next < soonest && p != r.page)
+                        minFromLaterPage++;
+                    soonest = std::min(soonest, next);
+                }
+                const bool reused =
+                    soonest != SIZE_MAX && soonest - i <= kLookahead;
+                const bool absorbed = !reused && absorb &&
+                    r.op == OpType::Write && r.sizePages <= 8;
+                if (soonest != SIZE_MAX && soonest - i == kLookahead)
+                    atEdge++;
+                if (soonest != SIZE_MAX && soonest - i == kLookahead + 1)
+                    pastEdge++;
+                absorbedWrites += absorbed ? 1 : 0;
+                ASSERT_EQ(oracle.selectPlacement(sys, r, i),
+                          reused || absorbed ? 0u : slow)
+                    << "request " << i << " seed " << seed;
+            }
+        }
+    }
+    EXPECT_GT(atEdge, 0u);
+    EXPECT_GT(pastEdge, 0u);
+    EXPECT_GT(minFromLaterPage, 0u);
+    EXPECT_GT(absorbedWrites, 0u);
 }
 
 TEST(TriHeuristic, HotColdFrozenSplit)

@@ -420,9 +420,11 @@ TEST(PolicyFactoryProperty, DuplicateRegistrationReplacesWithoutDuplicates)
                 return std::make_unique<policies::SlowOnlyPolicy>();
             });
     EXPECT_EQ(countOf("Test-Dup"), 1u);
-    for (const auto &info : f.policies())
-        if (info.name == "Test-Dup")
+    for (const auto &info : f.policies()) {
+        if (info.name == "Test-Dup") {
             EXPECT_EQ(info.description, "round 2");
+        }
+    }
 }
 
 // --------------------------- ScenarioSpec -----------------------------
@@ -683,8 +685,9 @@ TEST(ScenarioRun, Fig8SweepBitExactAtOneVsManyThreads)
                   b[i].result.metrics.placements);
         // Distinct sweep points must have produced distinct agents:
         // the descriptor is part of the run key.
-        if (i > 0)
+        if (i > 0) {
             EXPECT_NE(a[i].runKey, a[0].runKey);
+        }
     }
 }
 

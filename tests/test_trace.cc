@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hh"
 #include "sim/experiment.hh"
@@ -36,6 +39,80 @@ TEST(Trace, UniquePagesCountsSpans)
     EXPECT_EQ(t.uniquePages(), 6u); // 10,11,20,21,22,23
     EXPECT_EQ(t.workingSetBytes(), 6u * kPageSize);
     EXPECT_EQ(t.addressSpacePages(), 24u);
+}
+
+/** Distinct pages counted page by page, independent of the memo. */
+std::uint64_t
+freshUniquePages(const Trace &t)
+{
+    std::set<PageId> pages;
+    for (const Request &r : t)
+        for (PageId p = r.page; p < r.endPage(); p++)
+            pages.insert(p);
+    return pages.size();
+}
+
+/** The memo must never outlive the requests it counted: every mutator
+ *  drops it, and copies and moves carry (or drop) it with the data. */
+TEST(Trace, UniquePagesMemoFollowsEveryMutation)
+{
+    Trace t = tinyTrace();
+    ASSERT_EQ(t.uniquePages(), freshUniquePages(t));
+
+    t.add({300.0, 40, 3, OpType::Write});
+    EXPECT_EQ(t.uniquePages(), 9u);
+    EXPECT_EQ(t.uniquePages(), freshUniquePages(t));
+
+    Trace other("other");
+    other.add({0.0, 50, 2, OpType::Read});
+    t.merge(other, 10.0);
+    EXPECT_EQ(t.uniquePages(), 11u);
+    EXPECT_EQ(t.uniquePages(), freshUniquePages(t));
+
+    t[0].page = 1000; // writes through the non-const operator[]
+    t[1].sizePages = 3;
+    EXPECT_EQ(t.uniquePages(), freshUniquePages(t));
+
+    Trace copy = t;
+    EXPECT_EQ(copy.uniquePages(), t.uniquePages());
+    copy.add({0.0, 2000, 5, OpType::Read});
+    EXPECT_EQ(copy.uniquePages(), freshUniquePages(copy));
+    EXPECT_EQ(t.uniquePages(), freshUniquePages(t)); // source untouched
+
+    Trace assigned("assigned");
+    assigned.add({0.0, 7, 1, OpType::Read});
+    ASSERT_EQ(assigned.uniquePages(), 1u);
+    assigned = copy;
+    EXPECT_EQ(assigned.uniquePages(), freshUniquePages(copy));
+
+    const std::uint64_t expected = freshUniquePages(copy);
+    Trace moved = std::move(copy);
+    EXPECT_EQ(moved.uniquePages(), expected);
+    EXPECT_EQ(copy.uniquePages(), freshUniquePages(copy));
+
+    Trace moveAssigned("m");
+    moveAssigned.add({0.0, 9, 9, OpType::Read});
+    ASSERT_EQ(moveAssigned.uniquePages(), 9u);
+    moveAssigned = std::move(moved);
+    EXPECT_EQ(moveAssigned.uniquePages(), expected);
+    EXPECT_EQ(moved.uniquePages(), freshUniquePages(moved));
+}
+
+/** First calls may race on a shared const trace (the runner's trace
+ *  cache hands one trace to every run of it); all must agree. */
+TEST(Trace, UniquePagesConcurrentOnSharedConstTrace)
+{
+    const Trace shared = makeWorkload("prxy_1", 4000, 11);
+    const std::uint64_t expected = freshUniquePages(shared);
+    std::vector<std::uint64_t> seen(4, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t k = 0; k < seen.size(); k++)
+        threads.emplace_back([&, k] { seen[k] = shared.uniquePages(); });
+    for (auto &th : threads)
+        th.join();
+    for (std::uint64_t v : seen)
+        EXPECT_EQ(v, expected);
+    EXPECT_EQ(shared.uniquePages(), expected);
 }
 
 TEST(Trace, PrefixTruncates)
