@@ -14,6 +14,11 @@
 
 using namespace sibyl;
 
+// GCC 12 at -O2 and up reports a false -Wrestrict inside libstdc++'s
+// string concatenation ("S" + std::to_string(s) below), attributed to
+// the end of main.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
 int
 main()
 {
@@ -48,3 +53,4 @@ main()
     drift.print(std::cout);
     return 0;
 }
+#pragma GCC diagnostic pop

@@ -207,22 +207,4 @@ Histogram::quantile(double p) const
     return clampSeen(hi_);
 }
 
-void
-Ewma::add(double x)
-{
-    if (!primed_) {
-        value_ = x;
-        primed_ = true;
-    } else {
-        value_ = alpha_ * x + (1.0 - alpha_) * value_;
-    }
-}
-
-void
-Ewma::reset()
-{
-    value_ = 0.0;
-    primed_ = false;
-}
-
 } // namespace sibyl

@@ -104,24 +104,4 @@ class Histogram
     double maxSeen_ = 0.0;
 };
 
-/**
- * Exponentially weighted moving average, used by policies that track
- * recent request rates (e.g., HPS epoch statistics).
- */
-class Ewma
-{
-  public:
-    explicit Ewma(double alpha) : alpha_(alpha) {}
-
-    void add(double x);
-    double value() const { return value_; }
-    bool valid() const { return primed_; }
-    void reset();
-
-  private:
-    double alpha_;
-    double value_ = 0.0;
-    bool primed_ = false;
-};
-
 } // namespace sibyl

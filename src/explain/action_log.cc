@@ -56,23 +56,6 @@ ActionLog::preferenceByFeature(std::size_t featureIndex,
     return out;
 }
 
-std::vector<double>
-ActionLog::meanRewardPerAction(std::uint32_t numActions) const
-{
-    std::vector<double> sum(numActions, 0.0);
-    std::vector<std::uint64_t> count(numActions, 0);
-    for (const auto &r : records_) {
-        if (r.action < numActions) {
-            sum[r.action] += r.reward;
-            count[r.action]++;
-        }
-    }
-    for (std::uint32_t a = 0; a < numActions; a++)
-        if (count[a] > 0)
-            sum[a] /= static_cast<double>(count[a]);
-    return sum;
-}
-
 double
 ActionLog::evictionFraction() const
 {
@@ -101,24 +84,6 @@ ActionLog::preferenceTimeline(std::size_t windows) const
             out[w].fastPlacements++;
     }
     return out;
-}
-
-std::vector<double>
-ActionLog::rewardTimeline(std::size_t windows) const
-{
-    std::vector<double> sum(std::max<std::size_t>(1, windows), 0.0);
-    std::vector<std::uint64_t> count(sum.size(), 0);
-    const std::size_t n = records_.size();
-    for (std::size_t i = 0; i < n; i++) {
-        const std::size_t idx = wrapped_ ? (head_ + i) % n : i;
-        const auto w = i * sum.size() / n;
-        sum[w] += records_[idx].reward;
-        count[w]++;
-    }
-    for (std::size_t w = 0; w < sum.size(); w++)
-        if (count[w] > 0)
-            sum[w] /= static_cast<double>(count[w]);
-    return sum;
 }
 
 void

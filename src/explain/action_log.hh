@@ -81,9 +81,6 @@ class ActionLog
     std::vector<PreferenceStats>
     preferenceByFeature(std::size_t featureIndex, std::size_t bins) const;
 
-    /** Mean reward per action (how each placement pays off). */
-    std::vector<double> meanRewardPerAction(std::uint32_t numActions) const;
-
     /** Fraction of logged decisions that triggered an eviction. */
     double evictionFraction() const;
 
@@ -94,14 +91,6 @@ class ActionLog
      */
     std::vector<PreferenceStats> preferenceTimeline(std::size_t windows)
         const;
-
-    /**
-     * Mean reward over time (same windowing): the agent's learning
-     * curve as seen through its own objective. A rising curve is the
-     * online-learning signature; a flat one means the policy converged
-     * (or the reward carries no signal).
-     */
-    std::vector<double> rewardTimeline(std::size_t windows) const;
 
     void clear();
 

@@ -214,41 +214,26 @@ PageMetaTable::touch(PageId page)
 }
 
 void
-PageMetaTable::map(PageId page, DeviceId dev)
-{
-    mapAt(findOrCreate(page), dev);
-}
-
-void
 PageMetaTable::mapAt(Slot slot, DeviceId dev)
 {
     if (dev >= numDevices_)
-        panic("PageMetaTable::map: bad device id");
+        panic("PageMetaTable::mapAt: bad device id");
     Entry &s = slots_[slot];
     if (s.placement != kNoDevice)
-        panic("PageMetaTable::map: page already mapped");
+        panic("PageMetaTable::mapAt: page already mapped");
     s.placement = dev;
     pushFront(slot, dev);
     counts_[dev]++;
 }
 
 void
-PageMetaTable::remap(PageId page, DeviceId dev)
-{
-    const Slot i = find(page);
-    if (i == kNil)
-        panic("PageMetaTable::remap: page not mapped");
-    remapAt(i, dev);
-}
-
-void
 PageMetaTable::remapAt(Slot slot, DeviceId dev)
 {
     if (dev >= numDevices_)
-        panic("PageMetaTable::remap: bad device id");
+        panic("PageMetaTable::remapAt: bad device id");
     Entry &s = slots_[slot];
     if (s.placement == kNoDevice)
-        panic("PageMetaTable::remap: page not mapped");
+        panic("PageMetaTable::remapAt: page not mapped");
     counts_[s.placement]--;
     unlink(slot);
     s.placement = dev;
@@ -256,18 +241,11 @@ PageMetaTable::remapAt(Slot slot, DeviceId dev)
     counts_[dev]++;
 }
 
-PageId
-PageMetaTable::lruVictim(DeviceId dev) const
-{
-    const Slot i = lruVictimSlot(dev);
-    return i == kNil ? kInvalidPage : slots_[i].page;
-}
-
 PageMetaTable::Slot
 PageMetaTable::lruVictimSlot(DeviceId dev) const
 {
     if (dev >= numDevices_)
-        panic("PageMetaTable::lruVictim: bad device id");
+        panic("PageMetaTable::lruVictimSlot: bad device id");
     return tails_[dev];
 }
 

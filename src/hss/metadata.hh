@@ -75,8 +75,8 @@ class PageMetaTable
     /**
      * Grow now, if needed, so that touching the @p n pages from
      * @p first cannot grow the table. The slots those touches return
-     * stay valid until the table next grows (a touch() or map() of a
-     * page not yet in it).
+     * stay valid until the table next grows (a touch() of a page not
+     * yet in it).
      */
     void reserveFor(PageId first, std::uint32_t n);
 
@@ -84,28 +84,20 @@ class PageMetaTable
      *  and return its slot. */
     Slot touch(PageId page);
 
-    /** Map an unmapped page onto @p dev. */
-    void map(PageId page, DeviceId dev);
-
-    /** Move a mapped page to @p dev (migration). */
-    void remap(PageId page, DeviceId dev);
-
-    /** Least-recently-used page on @p dev, or kInvalidPage if empty. */
-    PageId lruVictim(DeviceId dev) const;
-
-    // --- Slot-addressed forms of the calls above; @p slot must come
-    //     from touch() or lruVictimSlot() with no growth since.
+    // --- Slot-addressed calls; @p slot must come from touch() or
+    //     lruVictimSlot() with no growth since.
 
     PageId pageAt(Slot slot) const { return slots_[slot].page; }
     DeviceId placementAt(Slot slot) const { return slots_[slot].placement; }
 
-    /** map() for the page in @p slot. */
+    /** Map the unmapped page in @p slot onto @p dev. */
     void mapAt(Slot slot, DeviceId dev);
 
-    /** remap() for the page in @p slot. */
+    /** Move the mapped page in @p slot to @p dev (migration). */
     void remapAt(Slot slot, DeviceId dev);
 
-    /** Slot of lruVictim(@p dev), or kNil if @p dev is empty. */
+    /** Slot of the least-recently-used page on @p dev, or kNil if
+     *  @p dev is empty. */
     Slot lruVictimSlot(DeviceId dev) const;
 
     /** Number of pages mapped to @p dev. */

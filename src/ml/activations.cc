@@ -4,7 +4,6 @@
 #include "ml/kernel_dispatch.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 
@@ -96,14 +95,6 @@ activate(Activation a, const Vector &in, Vector &out)
 {
     out.resize(in.size());
     activate(a, in.data(), out.data(), in.size());
-}
-
-void
-activateGrad(Activation a, const Vector &in, Vector &out)
-{
-    out.resize(in.size());
-    for (std::size_t i = 0; i < in.size(); i++)
-        out[i] = activateGrad(a, in[i]);
 }
 
 namespace
@@ -336,14 +327,6 @@ softmax(float *v, std::size_t n)
     if (sum <= 0.0f)
         sum = 1.0f;
     softmaxScale(v, sum, n);
-}
-
-void
-groupedSoftmax(Vector &v, std::size_t groupSize)
-{
-    assert(groupSize > 0 && v.size() % groupSize == 0);
-    for (std::size_t g = 0; g < v.size(); g += groupSize)
-        softmax(v.data() + g, groupSize);
 }
 
 } // namespace sibyl::ml

@@ -41,9 +41,6 @@ float activateGrad(Activation a, float x);
 /** Vectorized forward: out[i] = f(in[i]). Resizes @p out. */
 void activate(Activation a, const Vector &in, Vector &out);
 
-/** Vectorized derivative in terms of pre-activations @p in. */
-void activateGrad(Activation a, const Vector &in, Vector &out);
-
 /** Span forward: out[i] = f(in[i]) for i in [0, n). May alias. */
 void activate(Activation a, const float *in, float *out, std::size_t n);
 
@@ -79,8 +76,5 @@ void softmax(Vector &v);
 
 /** In-place softmax over a raw span (batched C51 head groups). */
 void softmax(float *v, std::size_t n);
-
-/** Softmax over consecutive groups of @p groupSize elements (C51 heads). */
-void groupedSoftmax(Vector &v, std::size_t groupSize);
 
 } // namespace sibyl::ml

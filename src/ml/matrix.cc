@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace sibyl::ml
 {
@@ -590,15 +589,6 @@ Matrix::addScaled(const Matrix &b, float scale)
         data_[i] += scale * b.data_[i];
 }
 
-float
-Matrix::norm() const
-{
-    double acc = 0.0;
-    for (float v : data_)
-        acc += static_cast<double>(v) * v;
-    return static_cast<float>(std::sqrt(acc));
-}
-
 void
 axpy(const Vector &x, Vector &y, float scale)
 {
@@ -615,15 +605,6 @@ dot(const Vector &a, const Vector &b)
     for (std::size_t i = 0; i < a.size(); i++)
         acc += a[i] * b[i];
     return acc;
-}
-
-float
-norm(const Vector &v)
-{
-    double acc = 0.0;
-    for (float x : v)
-        acc += static_cast<double>(x) * x;
-    return static_cast<float>(std::sqrt(acc));
 }
 
 } // namespace sibyl::ml

@@ -121,9 +121,6 @@ class Matrix
     /** A += scale * B (element-wise). */
     void addScaled(const Matrix &b, float scale);
 
-    /** Frobenius norm. */
-    float norm() const;
-
   private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
@@ -135,8 +132,5 @@ void axpy(const Vector &x, Vector &y, float scale);
 
 /** Dot product. */
 float dot(const Vector &a, const Vector &b);
-
-/** L2 norm. */
-float norm(const Vector &v);
 
 } // namespace sibyl::ml

@@ -10,11 +10,11 @@ namespace
 
 /**
  * Visit a layer's parameters as two flat (param*, grad*, count, offset)
- * spans — weights then bias. Span-at-a-time lets the per-optimizer
- * update loops run over __restrict pointers and auto-vectorize
- * (including vsqrtps/vdivps in Adam); the old one-lambda-per-element
- * walk kept every step() scalar, which at C51's ~4k parameters per
- * step was one of the larger costs of a training batch.
+ * spans — weights then bias. Span-at-a-time lets the update loop run
+ * over __restrict pointers and auto-vectorize (including vsqrtps and
+ * vdivps); the old one-lambda-per-element walk kept every step()
+ * scalar, which at C51's ~4k parameters per step was one of the larger
+ * costs of a training batch.
  */
 template <typename Fn>
 void
@@ -27,50 +27,6 @@ forEachParamSpan(DenseLayer &layer, Fn &&fn)
 }
 
 } // namespace
-
-Sgd::Sgd(double lr, double momentum) : lr_(lr), momentum_(momentum) {}
-
-void
-Sgd::step(Network &net, std::size_t batchSize)
-{
-    if (batchSize == 0)
-        batchSize = 1;
-    const float scale = 1.0f / static_cast<float>(batchSize);
-    const float lr = static_cast<float>(lr_);
-    const float mom = static_cast<float>(momentum_);
-    auto &layers = net.layers();
-    if (velocity_.size() != layers.size()) {
-        velocity_.assign(layers.size(), {});
-        for (std::size_t i = 0; i < layers.size(); i++)
-            velocity_[i].assign(layers[i].paramCount(), 0.0f);
-    }
-    for (std::size_t li = 0; li < layers.size(); li++) {
-        float *__restrict vel = velocity_[li].data();
-        forEachParamSpan(
-            layers[li],
-            [&](float *__restrict p, float *__restrict g, std::size_t n,
-                std::size_t base) {
-                float *__restrict v = vel + base;
-                // Consuming the gradient (g[i] = 0) inside the update
-                // fuses clearGrads() into this sweep — one pass over
-                // the arrays instead of two.
-                if (momentum_ > 0.0) {
-#pragma GCC ivdep
-                    for (std::size_t i = 0; i < n; i++) {
-                        v[i] = mom * v[i] + g[i] * scale;
-                        g[i] = 0.0f;
-                        p[i] -= lr * v[i];
-                    }
-                } else {
-#pragma GCC ivdep
-                    for (std::size_t i = 0; i < n; i++) {
-                        p[i] -= lr * (g[i] * scale);
-                        g[i] = 0.0f;
-                    }
-                }
-            });
-    }
-}
 
 Adam::Adam(double lr, double beta1, double beta2, double eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps)

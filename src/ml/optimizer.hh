@@ -1,12 +1,10 @@
 /**
  * @file
- * Gradient-descent optimizers.
+ * Gradient-descent optimizer.
  *
  * The paper trains Sibyl's training network with stochastic gradient
- * descent (Algorithm 1, line 18); we provide plain SGD (with optional
- * momentum) plus Adam, which the TF-Agents C51 implementation uses by
- * default. SibylConfig selects Adam by default and exposes SGD for
- * ablation.
+ * descent (Algorithm 1, line 18); every network here trains with Adam,
+ * the optimizer the TF-Agents C51 implementation uses by default.
  */
 
 #pragma once
@@ -18,50 +16,22 @@
 namespace sibyl::ml
 {
 
-/** Abstract optimizer over a Network's accumulated gradients. */
-class Optimizer
-{
-  public:
-    virtual ~Optimizer() = default;
-
-    /**
-     * Apply one update using the gradients accumulated in @p net (divided
-     * by @p batchSize) and clear them.
-     */
-    virtual void step(Network &net, std::size_t batchSize) = 0;
-
-    /** Learning rate accessor (hyper-parameter alpha in Table 2). */
-    virtual double learningRate() const = 0;
-    virtual void setLearningRate(double lr) = 0;
-};
-
-/** Plain SGD with optional classical momentum. */
-class Sgd : public Optimizer
-{
-  public:
-    explicit Sgd(double lr, double momentum = 0.0);
-
-    void step(Network &net, std::size_t batchSize) override;
-    double learningRate() const override { return lr_; }
-    void setLearningRate(double lr) override { lr_ = lr; }
-
-  private:
-    double lr_;
-    double momentum_;
-    // One velocity buffer per layer: [weights..., bias...].
-    std::vector<std::vector<float>> velocity_;
-};
-
-/** Adam (Kingma & Ba, 2015). */
-class Adam : public Optimizer
+/** Adam (Kingma & Ba, 2015) over a Network's accumulated gradients. */
+class Adam
 {
   public:
     explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
                   double eps = 1e-8);
 
-    void step(Network &net, std::size_t batchSize) override;
-    double learningRate() const override { return lr_; }
-    void setLearningRate(double lr) override { lr_ = lr; }
+    /**
+     * Apply one update using the gradients accumulated in @p net (divided
+     * by @p batchSize) and clear them.
+     */
+    void step(Network &net, std::size_t batchSize);
+
+    /** Learning rate accessor (hyper-parameter alpha in Table 2). */
+    double learningRate() const { return lr_; }
+    void setLearningRate(double lr) { lr_ = lr; }
 
   private:
     double lr_;

@@ -8,7 +8,7 @@ namespace sibyl::policies
 {
 
 ArchivistPolicy::ArchivistPolicy(const ArchivistConfig &cfg)
-    : cfg_(cfg), rng_(cfg.seed, 0xA2C41)
+    : cfg_(cfg), rng_(cfg.seed, 0xA2C41), opt_(cfg.learningRate)
 {
     std::vector<ml::LayerSpec> layers = {
         {cfg_.hiddenNeurons, ml::Activation::ReLU},
@@ -16,7 +16,6 @@ ArchivistPolicy::ArchivistPolicy(const ArchivistConfig &cfg)
         {1, ml::Activation::Identity}, // logit
     };
     net_ = std::make_unique<ml::Network>(4, layers, rng_);
-    opt_ = std::make_unique<ml::Adam>(cfg_.learningRate);
 }
 
 ml::Vector
@@ -71,7 +70,7 @@ ArchivistPolicy::rotateEpoch()
             float gradLogit = 0.0f;
             ml::binaryCrossEntropy(out[0], label, gradLogit);
             net_->backward({gradLogit});
-            opt_->step(*net_, 1);
+            opt_.step(*net_, 1);
         }
     }
     trained_ = true;
@@ -92,7 +91,7 @@ ArchivistPolicy::reset()
         {1, ml::Activation::Identity},
     };
     net_ = std::make_unique<ml::Network>(4, layers, initRng);
-    opt_ = std::make_unique<ml::Adam>(cfg_.learningRate);
+    opt_ = ml::Adam(cfg_.learningRate);
 }
 
 } // namespace sibyl::policies

@@ -69,7 +69,7 @@ class ArchivistPolicy : public PlacementPolicy
     ArchivistConfig cfg_;
     Pcg32 rng_;
     std::unique_ptr<ml::Network> net_;
-    std::unique_ptr<ml::Optimizer> opt_;
+    ml::Adam opt_;
     bool trained_ = false;
 
     std::vector<Sample> epochSamples_;

@@ -67,15 +67,12 @@ struct AgentConfig
     /** Hidden topology (paper: 20 and 30 swish neurons). */
     std::vector<std::size_t> hidden = {20, 30};
 
-    /** Use Adam (TF-Agents default) instead of plain SGD. */
-    bool useAdam = true;
-
     /**
      * Train each minibatch through the batched GEMM engine (3 batched
      * forwards + 1 batched backward per batch) instead of looping
      * per-sample matvec passes. Same math up to float summation order;
      * `false` selects the legacy per-sample path, kept as the
-     * microbenchmark baseline and for A/B numerics tests.
+     * reference of the A/B numerics tests.
      */
     bool batchedTraining = true;
 

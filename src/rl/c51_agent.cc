@@ -13,7 +13,8 @@ C51Agent::C51Agent(const C51Config &cfg)
       support_(cfg.vmin, cfg.vmax, cfg.atoms),
       explore_(makeExploration(cfg)),
       rng_(cfg.seed, 0xA6E47),
-      buffer_(cfg.bufferCapacity, cfg.dedupBuffer)
+      buffer_(cfg.bufferCapacity, cfg.dedupBuffer),
+      optimizer_(cfg.learningRate)
 {
     std::vector<ml::LayerSpec> layers;
     for (auto h : cfg_.hidden)
@@ -29,11 +30,6 @@ C51Agent::C51Agent(const C51Config &cfg)
                                                   initRng2);
     inferenceNet_->copyWeightsFrom(*trainingNet_);
 
-    if (cfg_.useAdam)
-        optimizer_ = std::make_unique<ml::Adam>(cfg_.learningRate);
-    else
-        optimizer_ = std::make_unique<ml::Sgd>(cfg_.learningRate);
-
     decodeProbs_.resize(static_cast<std::size_t>(cfg_.numActions) *
                         cfg_.atoms);
     decodeQ_.resize(cfg_.numActions);
@@ -47,7 +43,7 @@ void
 C51Agent::setLearningRate(double lr)
 {
     cfg_.learningRate = lr;
-    optimizer_->setLearningRate(lr);
+    optimizer_.setLearningRate(lr);
 }
 
 void
@@ -430,7 +426,7 @@ C51Agent::trainBatchBatched(const std::vector<std::size_t> &indices)
 
     trainingNet_->backward(gradOutM_);
     stats_.gradientSteps += batch;
-    optimizer_->step(*trainingNet_, batch);
+    optimizer_.step(*trainingNet_, batch);
     return totalLoss / static_cast<double>(batch);
 }
 
@@ -481,7 +477,7 @@ C51Agent::trainBatchPerSample(const std::vector<std::size_t> &indices)
         trainingNet_->backward(gradOut);
         stats_.gradientSteps++;
     }
-    optimizer_->step(*trainingNet_, indices.size());
+    optimizer_.step(*trainingNet_, indices.size());
     return totalLoss / static_cast<double>(indices.size());
 }
 

@@ -10,7 +10,8 @@ DqnAgent::DqnAgent(const AgentConfig &cfg)
     : cfg_(cfg),
       explore_(makeExploration(cfg)),
       rng_(cfg.seed, 0xD62),
-      buffer_(cfg.bufferCapacity, cfg.dedupBuffer)
+      buffer_(cfg.bufferCapacity, cfg.dedupBuffer),
+      optimizer_(cfg.learningRate)
 {
     std::vector<ml::LayerSpec> layers;
     for (auto h : cfg_.hidden)
@@ -25,18 +26,13 @@ DqnAgent::DqnAgent(const AgentConfig &cfg)
     inferenceNet_ = std::make_unique<ml::Network>(cfg_.stateDim, layers,
                                                   initRng2);
     inferenceNet_->copyWeightsFrom(*trainingNet_);
-
-    if (cfg_.useAdam)
-        optimizer_ = std::make_unique<ml::Adam>(cfg_.learningRate);
-    else
-        optimizer_ = std::make_unique<ml::Sgd>(cfg_.learningRate);
 }
 
 void
 DqnAgent::setLearningRate(double lr)
 {
     cfg_.learningRate = lr;
-    optimizer_->setLearningRate(lr);
+    optimizer_.setLearningRate(lr);
 }
 
 std::vector<double>
@@ -322,7 +318,7 @@ DqnAgent::trainBatchBatched(const std::vector<std::size_t> &indices)
 
     trainingNet_->backward(gradOutM_);
     stats_.gradientSteps += batch;
-    optimizer_->step(*trainingNet_, batch);
+    optimizer_.step(*trainingNet_, batch);
     return totalLoss / static_cast<double>(batch);
 }
 
@@ -378,7 +374,7 @@ DqnAgent::trainBatchPerSample(const std::vector<std::size_t> &indices)
         trainingNet_->backward(gradOut);
         stats_.gradientSteps++;
     }
-    optimizer_->step(*trainingNet_, indices.size());
+    optimizer_.step(*trainingNet_, indices.size());
     return totalLoss / static_cast<double>(indices.size());
 }
 

@@ -85,7 +85,7 @@ class DqnAgent final : public Agent
     /** Batched path: whole minibatch per GEMM (cfg.batchedTraining). */
     double trainBatchBatched(const std::vector<std::size_t> &indices);
 
-    /** Legacy per-sample path (baseline for the perf_train bench). */
+    /** Legacy per-sample path (test reference for the batched one). */
     double trainBatchPerSample(const std::vector<std::size_t> &indices);
 
     AgentConfig cfg_;
@@ -94,7 +94,7 @@ class DqnAgent final : public Agent
     ReplayBuffer buffer_;
     std::unique_ptr<ml::Network> inferenceNet_;
     std::unique_ptr<ml::Network> trainingNet_;
-    std::unique_ptr<ml::Optimizer> optimizer_;
+    ml::Adam optimizer_;
     AgentStats stats_;
     std::uint64_t observations_ = 0;
 

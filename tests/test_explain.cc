@@ -75,17 +75,6 @@ TEST(ActionLog, EvictionFraction)
     EXPECT_DOUBLE_EQ(log.evictionFraction(), 0.5);
 }
 
-TEST(ActionLog, MeanRewardPerAction)
-{
-    ActionLog log;
-    log.record(decision(0, 0.5f, 2.0f));
-    log.record(decision(0, 0.5f, 4.0f));
-    log.record(decision(1, 0.5f, 1.0f));
-    const auto mean = log.meanRewardPerAction(2);
-    EXPECT_DOUBLE_EQ(mean[0], 3.0);
-    EXPECT_DOUBLE_EQ(mean[1], 1.0);
-}
-
 TEST(ActionLog, PreferenceByFeatureSplitsBins)
 {
     ActionLog log;
@@ -119,28 +108,6 @@ TEST(ActionLog, ClearEmptiesLog)
     log.record(decision(0));
     log.clear();
     EXPECT_EQ(log.size(), 0u);
-}
-
-
-TEST(ActionLog, RewardTimelineShowsLearning)
-{
-    ActionLog log;
-    for (int i = 0; i < 40; i++)
-        log.record(decision(0, 0.5f, 0.1f));
-    for (int i = 0; i < 40; i++)
-        log.record(decision(0, 0.5f, 0.9f));
-    const auto curve = log.rewardTimeline(2);
-    ASSERT_EQ(curve.size(), 2u);
-    EXPECT_NEAR(curve[0], 0.1, 1e-6);
-    EXPECT_NEAR(curve[1], 0.9, 1e-6);
-}
-
-TEST(ActionLog, RewardTimelineEmptyLogIsZero)
-{
-    ActionLog log;
-    const auto curve = log.rewardTimeline(4);
-    for (double v : curve)
-        EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 // ---------------------------------------------------------------------

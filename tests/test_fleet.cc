@@ -108,6 +108,10 @@ TEST(TraceMultiplexer, EmptyTenantsAndNullRejection)
                  std::invalid_argument);
 }
 
+// GCC 12 at -O2 and up reports a false -Wfree-nonheap-object inside
+// libstdc++'s vector destructor, inlined at this function's end.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wfree-nonheap-object"
 /** The pre-heap reference merge: linear head scan, lowest timestamp,
  *  ties to the lowest tenant id. */
 std::vector<trace::TraceMultiplexer::Entry>
@@ -136,6 +140,7 @@ referenceLinearMerge(const std::vector<const trace::Trace *> &tenants)
     }
     return out;
 }
+#pragma GCC diagnostic pop
 
 TEST(TraceMultiplexerHeap, MatchesReferenceMergeAtScale)
 {
@@ -287,28 +292,54 @@ TEST(Fleet, BitIdenticalAcrossThreadCounts)
     }
 }
 
+/** The tenants x threads sweep lineup: an RL tenant and three
+ *  heuristics, Archivist included, cycled over four MSRC
+ *  personalities. */
+std::vector<sim::FleetTenant>
+cyclicTenants(std::size_t n)
+{
+    static const char *kPolicies[] = {"Sibyl{trainEvery=100}", "CDE",
+                                      "HPS", "Archivist"};
+    static const char *kWorkloads[] = {"prxy_1", "mds_0", "rsrch_0",
+                                       "usr_0"};
+    std::vector<sim::FleetTenant> out(n);
+    for (std::size_t i = 0; i < n; i++) {
+        out[i].policy = kPolicies[i % 4];
+        out[i].workload = kWorkloads[i % 4];
+    }
+    return out;
+}
+
 TEST(Fleet, ResultsJsonBitExactThroughRunner)
 {
     // Same check end-to-end: a fleet RunSpec through ParallelRunner
     // (nesting its parallelFor inside the runner's) serializes
-    // byte-identically at 1 vs 8 threads.
-    const std::vector<sim::RunSpec> specs = {
-        fleetSpecOf(smokeTenants(), 300)};
-    std::string out[2];
-    const unsigned threads[2] = {1, 8};
-    for (int i = 0; i < 2; i++) {
-        sim::ParallelConfig cfg;
-        cfg.numThreads = threads[i];
-        sim::ParallelRunner runner(cfg);
-        std::ostringstream os;
-        sim::writeResultsJson(os, runner.runAll(specs));
-        out[i] = os.str();
+    // byte-identically at 1 thread (the serial multiplexed oracle) vs
+    // 8 (tenant-sharded): the smoke lineup, and the cyclic lineup at
+    // 2, 4 and 8 tenants.
+    std::vector<sim::RunSpec> specs = {fleetSpecOf(smokeTenants(), 300)};
+    for (std::size_t n : {2, 4, 8})
+        specs.push_back(fleetSpecOf(cyclicTenants(n), 300));
+    for (const sim::RunSpec &spec : specs) {
+        SCOPED_TRACE(std::to_string(spec.fleet->tenants.size()) +
+                     " tenants");
+        std::string out[2];
+        const unsigned threads[2] = {1, 8};
+        for (int i = 0; i < 2; i++) {
+            sim::ParallelConfig cfg;
+            cfg.numThreads = threads[i];
+            sim::ParallelRunner runner(cfg);
+            std::ostringstream os;
+            sim::writeResultsJson(os, runner.runAll({spec}));
+            out[i] = os.str();
+        }
+        EXPECT_EQ(out[0], out[1]);
+        // The fleet block made it into the serialized record.
+        EXPECT_NE(out[0].find("\"fairnessJain\""), std::string::npos);
+        EXPECT_NE(out[0].find("\"tenantP999LatencyUs\""),
+                  std::string::npos);
+        EXPECT_NE(out[0].find("\"p999LatencyUs\""), std::string::npos);
     }
-    EXPECT_EQ(out[0], out[1]);
-    // The fleet block made it into the serialized record.
-    EXPECT_NE(out[0].find("\"fairnessJain\""), std::string::npos);
-    EXPECT_NE(out[0].find("\"tenantP999LatencyUs\""), std::string::npos);
-    EXPECT_NE(out[0].find("\"p999LatencyUs\""), std::string::npos);
 }
 
 TEST(Fleet, TenantStreamsIndependentOfFleetComposition)

@@ -55,25 +55,32 @@ TEST(PageMetaTable, AccessCountAndInterval)
     EXPECT_EQ(meta.accessInterval(99), meta.tick());
 }
 
+/** Page of the least-recently-used slot on @p dev, or kInvalidPage. */
+PageId
+lruVictim(const PageMetaTable &meta, DeviceId dev)
+{
+    const PageMetaTable::Slot s = meta.lruVictimSlot(dev);
+    return s == PageMetaTable::kNil ? kInvalidPage : meta.pageAt(s);
+}
+
 TEST(PageMetaTable, LruOrdering)
 {
     PageMetaTable meta(2);
-    for (PageId p : {1, 2, 3}) {
-        meta.map(p, 0);
-        meta.touch(p);
-    }
-    EXPECT_EQ(meta.lruVictim(0), 1u);
+    for (PageId p : {1, 2, 3})
+        meta.mapAt(meta.touch(p), 0);
+    EXPECT_EQ(lruVictim(meta, 0), 1u);
     meta.touch(1); // 1 becomes MRU
-    EXPECT_EQ(meta.lruVictim(0), 2u);
+    EXPECT_EQ(lruVictim(meta, 0), 2u);
     EXPECT_EQ(meta.pagesOn(0), 3u);
-    EXPECT_EQ(meta.lruVictim(1), kInvalidPage);
+    EXPECT_EQ(lruVictim(meta, 1), kInvalidPage);
 }
 
 TEST(PageMetaTable, RemapMovesBetweenLists)
 {
     PageMetaTable meta(2);
-    meta.map(1, 0);
-    meta.remap(1, 1);
+    const PageMetaTable::Slot s = meta.touch(1);
+    meta.mapAt(s, 0);
+    meta.remapAt(s, 1);
     EXPECT_EQ(meta.placement(1), 1u);
     EXPECT_EQ(meta.pagesOn(0), 0u);
     EXPECT_EQ(meta.pagesOn(1), 1u);
@@ -82,14 +89,16 @@ TEST(PageMetaTable, RemapMovesBetweenLists)
 TEST(PageMetaTableDeath, DoubleMapPanics)
 {
     PageMetaTable meta(2);
-    meta.map(1, 0);
-    EXPECT_DEATH(meta.map(1, 1), "already mapped");
+    const PageMetaTable::Slot s = meta.touch(1);
+    meta.mapAt(s, 0);
+    EXPECT_DEATH(meta.mapAt(s, 1), "already mapped");
 }
 
 TEST(PageMetaTableDeath, RemapUnmappedPanics)
 {
     PageMetaTable meta(2);
-    EXPECT_DEATH(meta.remap(1, 1), "not mapped");
+    const PageMetaTable::Slot s = meta.touch(1);
+    EXPECT_DEATH(meta.remapAt(s, 1), "not mapped");
 }
 
 // --------------------------- HybridSystem ----------------------------
@@ -391,9 +400,13 @@ TEST(PageMetaTable, DifferentialAgainstLegacyOracle)
             flat.touch(page);
             legacy.touch(page);
         } else if (op < 8) {
+            // First-placement: serve() maps a page only in the slot
+            // its touch returned, so the stream touches before mapping.
+            const PageMetaTable::Slot slot = flat.touch(page);
+            legacy.touch(page);
             if (legacy.placement(page) == kNoDevice) {
                 const DeviceId dev = rng.nextBounded(3);
-                flat.map(page, dev);
+                flat.mapAt(slot, dev);
                 legacy.map(page, dev);
             }
         } else {
@@ -401,10 +414,11 @@ TEST(PageMetaTable, DifferentialAgainstLegacyOracle)
             // device (the serve path's eviction pattern).
             const DeviceId dev = rng.nextBounded(3);
             const PageId victim = legacy.lruVictim(dev);
-            ASSERT_EQ(flat.lruVictim(dev), victim);
+            const PageMetaTable::Slot slot = flat.lruVictimSlot(dev);
+            ASSERT_EQ(lruVictim(flat, dev), victim);
             if (victim != kInvalidPage) {
                 const DeviceId dst = (dev + 1) % 3;
-                flat.remap(victim, dst);
+                flat.remapAt(slot, dst);
                 legacy.remap(victim, dst);
             }
         }
@@ -417,7 +431,7 @@ TEST(PageMetaTable, DifferentialAgainstLegacyOracle)
         ASSERT_EQ(flat.accessInterval(page), legacy.accessInterval(page));
         for (DeviceId d = 0; d < 3; d++) {
             ASSERT_EQ(flat.pagesOn(d), legacy.pagesOn(d));
-            ASSERT_EQ(flat.lruVictim(d), legacy.lruVictim(d));
+            ASSERT_EQ(lruVictim(flat, d), legacy.lruVictim(d));
         }
     }
     // Full residency-order equality (cold-first) at the end.
@@ -431,10 +445,8 @@ TEST(PageMetaTable, GrowthPreservesStateAcrossRehash)
     const std::uint64_t startCap = meta.slotCapacity();
 
     // Map enough pages to force several doublings.
-    for (PageId p = 0; p < 500; p++) {
-        meta.map(p, static_cast<DeviceId>(p % 2));
-        meta.touch(p);
-    }
+    for (PageId p = 0; p < 500; p++)
+        meta.mapAt(meta.touch(p), static_cast<DeviceId>(p % 2));
     EXPECT_GT(meta.slotCapacity(), startCap);
     EXPECT_LE(meta.loadFactor(), 0.6);
 
@@ -445,8 +457,8 @@ TEST(PageMetaTable, GrowthPreservesStateAcrossRehash)
         EXPECT_EQ(meta.placement(p), p % 2);
         EXPECT_EQ(meta.accessCount(p), 1u);
     }
-    EXPECT_EQ(meta.lruVictim(0), 0u);
-    EXPECT_EQ(meta.lruVictim(1), 1u);
+    EXPECT_EQ(lruVictim(meta, 0), 0u);
+    EXPECT_EQ(lruVictim(meta, 1), 1u);
 }
 
 TEST(PageMetaTable, TickMonotonicityAndIntervalSemantics)
@@ -456,14 +468,14 @@ TEST(PageMetaTable, TickMonotonicityAndIntervalSemantics)
     Pcg32 rng(0x71C);
     for (int i = 0; i < 1000; i++) {
         const PageId p = rng.nextBounded(50);
-        meta.touch(p);
+        const PageMetaTable::Slot s = meta.touch(p);
         // The tick advances by exactly one per page access, never by
         // map/remap/queries.
         ASSERT_EQ(meta.tick(), lastTick + 1);
         lastTick = meta.tick();
         ASSERT_EQ(meta.accessInterval(p), 0u);
         if (meta.placement(p) == kNoDevice && (i & 3) == 0)
-            meta.map(p, 0);
+            meta.mapAt(s, 0);
         ASSERT_EQ(meta.tick(), lastTick);
     }
     // Unseen pages read "forever ago" == current tick.

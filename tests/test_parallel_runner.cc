@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -102,6 +103,12 @@ TEST(ParallelRunner, SerialVsEightThreadsBitExact)
     const auto parallel = runMatrixAt(8);
     ASSERT_EQ(serial.size(), 24u);
     expectIdentical(serial, parallel);
+
+    // The serialized results, every key included, are byte-identical.
+    std::ostringstream a, b;
+    writeResultsJson(a, serial);
+    writeResultsJson(b, parallel);
+    EXPECT_EQ(a.str(), b.str());
 }
 
 TEST(ParallelRunner, RepeatedEightThreadRunsBitExact)
@@ -376,8 +383,8 @@ TEST(ParallelRunner, TransientFailureRetriedBitExact)
 TEST(ParallelRunner, ParallelPathIsFasterOnMulticoreHosts)
 {
     // Timing assertion: only meaningful with real cores and without
-    // sanitizer instrumentation. The full >= 3x acceptance measurement
-    // lives in bench_perf_parallel.
+    // sanitizer instrumentation. The repeatable measurement, with
+    // medians and spread, is sibylbench's sim.runner.parallelism.
 #ifdef SIBYL_UNDER_SANITIZER
     GTEST_SKIP() << "timing under sanitizers is not meaningful";
 #else
@@ -394,10 +401,15 @@ TEST(ParallelRunner, ParallelPathIsFasterOnMulticoreHosts)
                    std::chrono::steady_clock::now() - start)
             .count();
     };
-    const double serial = timeAt(1);
-    const double parallel = timeAt(8);
-    // Very lenient bound (the bench demonstrates the real 3x+): at 4+
-    // cores, 8 workers must beat the serial path by a clear margin.
+    // Alternate the two paths and keep each one's fastest of three, so
+    // a burst of load from other processes cannot sink one side alone.
+    double serial = 1e30, parallel = 1e30;
+    for (int rep = 0; rep < 3; rep++) {
+        serial = std::min(serial, timeAt(1));
+        parallel = std::min(parallel, timeAt(8));
+    }
+    // Lenient bound: at 4+ cores, 8 workers must beat the serial path
+    // by a clear margin.
     EXPECT_LT(parallel, serial * 0.85)
         << "serial " << serial << "s vs parallel " << parallel << "s";
 #endif

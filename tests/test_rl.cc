@@ -19,11 +19,16 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "core/sibyl_policy.hh"
+#include "hss/hybrid_system.hh"
 #include "ml/activations.hh"
 #include "rl/c51_agent.hh"
 #include "rl/categorical.hh"
 #include "rl/checkpoint.hh"
 #include "rl/replay_buffer.hh"
+#include "sim/experiment.hh"
+#include "sim/simulator.hh"
+#include "trace/workloads.hh"
 
 namespace sibyl::rl
 {
@@ -682,6 +687,24 @@ TEST(C51DecisionMemo, BoltzmannExplorationBypassesMemo)
     }
     ASSERT_GE(agent.stats().weightSyncs, 3u);
     EXPECT_EQ(agent.stats().decisionMemoHits, 0u);
+}
+
+TEST(C51DecisionMemo, AnswersAProperShareOfASibylRun)
+{
+    // A default Sibyl-C51 run of prxy_1: the memo must answer some of
+    // the run's decisions (0 would mean it never hits) and leave some
+    // to the network (1 would mean inference never ran).
+    const trace::Trace t = trace::makeWorkload("prxy_1", 2000);
+    hss::HybridSystem sys(hss::makeHssConfig("H&M", t.uniquePages()), 42);
+    const auto policy = sim::makePolicy("Sibyl-C51", sys.numDevices());
+    sim::runSimulation(t, sys, *policy);
+    const AgentStats &stats =
+        dynamic_cast<core::SibylPolicy &>(*policy).agent().stats();
+    ASSERT_GT(stats.decisions, 0u);
+    const double share = static_cast<double>(stats.decisionMemoHits) /
+                         static_cast<double>(stats.decisions);
+    EXPECT_GT(share, 0.0);
+    EXPECT_LT(share, 1.0);
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for streaming statistics, histograms, and EWMA.
+ * Unit tests for streaming statistics and histograms.
  */
 
 #include <gtest/gtest.h>
@@ -113,33 +113,6 @@ TEST(Histogram, BinEdges)
     EXPECT_DOUBLE_EQ(h.binHigh(0), 12.0);
     EXPECT_DOUBLE_EQ(h.binLow(4), 18.0);
 }
-
-TEST(Ewma, ConvergesToConstant)
-{
-    Ewma e(0.2);
-    for (int i = 0; i < 100; i++)
-        e.add(5.0);
-    EXPECT_NEAR(e.value(), 5.0, 1e-9);
-}
-
-TEST(Ewma, FirstSamplePrimes)
-{
-    Ewma e(0.1);
-    EXPECT_FALSE(e.valid());
-    e.add(7.0);
-    EXPECT_TRUE(e.valid());
-    EXPECT_DOUBLE_EQ(e.value(), 7.0);
-}
-
-TEST(Ewma, ResetClears)
-{
-    Ewma e(0.5);
-    e.add(1.0);
-    e.reset();
-    EXPECT_FALSE(e.valid());
-    EXPECT_EQ(e.value(), 0.0);
-}
-
 
 TEST(Histogram, QuantileClampedToObservedRange)
 {
