@@ -1,7 +1,6 @@
 #include "explain/action_log.hh"
 
 #include <algorithm>
-#include <cmath>
 
 namespace sibyl::explain
 {

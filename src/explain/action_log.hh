@@ -27,7 +27,6 @@ struct DecisionRecord
     std::uint64_t reqIndex = 0;  ///< request index in the trace
     ml::Vector state;            ///< encoded observation O_t
     std::uint32_t action = 0;    ///< chosen device
-    float reward = 0.0f;         ///< reward received for this action
     bool eviction = false;       ///< the request triggered eviction
     double latencyUs = 0.0;      ///< served latency
 };

@@ -7,7 +7,6 @@ InstrumentedSibyl::InstrumentedSibyl(const core::SibylConfig &cfg,
                                      std::uint32_t numDevices,
                                      std::size_t logCapacity)
     : sibyl_(std::make_unique<core::SibylPolicy>(cfg, numDevices)),
-      reward_(cfg.reward),
       log_(logCapacity)
 {
 }
@@ -38,12 +37,6 @@ InstrumentedSibyl::observeOutcome(const hss::HybridSystem &sys,
 {
     sibyl_->observeOutcome(sys, req, action, result);
     if (pending_) {
-        core::RewardInputs in;
-        in.result = result;
-        in.op = req.op;
-        in.sizePages = req.sizePages;
-        in.action = action;
-        pendingRec_.reward = reward_.compute(in);
         pendingRec_.eviction = result.eviction;
         pendingRec_.latencyUs = result.latencyUs;
         log_.record(std::move(pendingRec_));

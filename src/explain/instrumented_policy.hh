@@ -3,10 +3,10 @@
  * A transparent recording wrapper around SibylPolicy.
  *
  * Forwards every call unchanged while logging each decision — the
- * encoded observation, the chosen action, the reward, and the serve
- * outcome — into an ActionLog, enabling the §9-style post-hoc
- * analyses (preference extraction, per-feature preference slicing,
- * saliency probing) without perturbing the policy under study.
+ * encoded observation, the chosen action and the serve outcome —
+ * into an ActionLog, enabling the §9-style post-hoc analyses
+ * (preference extraction, per-feature preference slicing, saliency
+ * probing) without perturbing the policy under study.
  */
 
 #pragma once
@@ -49,7 +49,6 @@ class InstrumentedSibyl : public policies::PlacementPolicy
 
   private:
     std::unique_ptr<core::SibylPolicy> sibyl_;
-    core::RewardFunction reward_;
     ActionLog log_;
     std::uint64_t reqIndex_ = 0;
     bool pending_ = false;

@@ -20,13 +20,11 @@ namespace
 {
 
 DecisionRecord
-decision(std::uint32_t action, float f0 = 0.5f, float reward = 1.0f,
-         bool eviction = false)
+decision(std::uint32_t action, float f0 = 0.5f, bool eviction = false)
 {
     DecisionRecord r;
     r.state = {f0, 0.0f};
     r.action = action;
-    r.reward = reward;
     r.eviction = eviction;
     return r;
 }
@@ -68,10 +66,10 @@ TEST(ActionLog, CapacityBoundDropsOldest)
 TEST(ActionLog, EvictionFraction)
 {
     ActionLog log;
-    log.record(decision(0, 0.5f, 1.0f, true));
+    log.record(decision(0, 0.5f, true));
     log.record(decision(0));
     log.record(decision(0));
-    log.record(decision(0, 0.5f, 1.0f, true));
+    log.record(decision(0, 0.5f, true));
     EXPECT_DOUBLE_EQ(log.evictionFraction(), 0.5);
 }
 

@@ -8,14 +8,10 @@
 # sibyl) is then sorted by the binaries that still hold it:
 #
 #   unreached     no binary;
-#   tests only    test_* binaries only;
-#   benches only  bench_perf_* timing programs, maybe tests too, but no
-#                 other program.
+#   tests only    test_* binaries only.
 #
-# sibylbench is the one perf harness, so no bench_perf_* program is
-# left and "benches only" should read 0: a non-zero count means a
-# side timer came back and keeps API alive. sibylbench, the figure and
-# ablation programs under bench/, and the examples count as programs.
+# sibylbench, the figure and ablation programs under bench/, and the
+# examples count as programs.
 #
 # A function inlined into every caller also reads "unreached", so grep
 # for callers before deleting one. This is a report, not a gate: it
@@ -27,7 +23,6 @@ set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 out="${1:-$root/build-dead-api}"
-jobs="${JOBS:-4}"
 flags=(-DCMAKE_BUILD_TYPE=Release -DSIBYL_NATIVE=OFF
        "-DCMAKE_CXX_FLAGS=-ffunction-sections"
        "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
@@ -37,7 +32,7 @@ build() {
     shift 2
     mkdir -p "$dir"
     if ! { cmake -S "$src" -B "$dir" "${flags[@]}" &&
-           cmake --build "$dir" -j "$jobs" "$@"; } > "$dir/build.log" 2>&1
+           cmake --build "$dir" -j "$(nproc)" "$@"; } > "$dir/build.log" 2>&1
     then
         tail -n 30 "$dir/build.log"
         exit 1
@@ -62,7 +57,6 @@ for bin in "$out"/all/test_* "$out"/all/bench_* "$out"/all/example_* \
     [ -x "$bin" ] && [ -f "$bin" ] || continue
     case "$(basename "$bin")" in
         test_*) kind=test ;;
-        bench_perf_*) kind=bench ;;
         *) kind=program ;;
     esac
     functions "$bin" | awk -v k="$kind" '{ print $1, k }'
@@ -76,10 +70,8 @@ awk '
             k = kinds[f]
             if (k == "")
                 print "unreached", f
-            else if (k !~ /program/ && k !~ /bench/)
-                print "tests-only", f
             else if (k !~ /program/)
-                print "benches-only", f
+                print "tests-only", f
         }
     }
 ' "$tmp/library" "$tmp/reached" | sort > "$tmp/report"
@@ -89,8 +81,7 @@ count() { grep -c "^$1 " "$tmp/report" || true; }
 echo "library functions: $total"
 echo "unreached:         $(count unreached)"
 echo "tests only:        $(count tests-only)"
-echo "benches only:      $(count benches-only)"
-for cat in unreached tests-only benches-only; do
+for cat in unreached tests-only; do
     echo
     echo "== $cat"
     grep "^$cat " "$tmp/report" | cut -d' ' -f2 | c++filt | sort
