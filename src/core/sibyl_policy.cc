@@ -51,6 +51,9 @@ makeAgentConfig(const SibylConfig &cfg, std::uint32_t stateDim,
     ac.prioritizedReplay = cfg.prioritizedReplay;
     ac.doubleDqn = cfg.doubleDqn;
     ac.seed = cfg.seed;
+    // The guardrail reads every round's loss. Set here, so the
+    // constructor, reset() and the post-trip rebuild all arm it.
+    ac.measureLoss = cfg.guardrail.enabled;
     return ac;
 }
 

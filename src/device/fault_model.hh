@@ -88,9 +88,6 @@ enum class DeviceHealth : std::uint8_t
     Failed,
 };
 
-/** Display name for a health state ("healthy", "degraded", ...). */
-const char *healthName(DeviceHealth h);
-
 /** Fault-injection knobs. Defaults inject nothing. */
 struct FaultConfig
 {

@@ -73,20 +73,25 @@ PageMetaTable::find(PageId page) const
 PageMetaTable::Slot
 PageMetaTable::findOrCreate(PageId page)
 {
-    if (!fits(size_ + 1))
-        grow();
     std::uint64_t i = hashPage(page) & mask_;
-    while (true) {
-        Entry &s = slots_[i];
-        if (s.page == page)
-            return static_cast<std::uint32_t>(i);
-        if (s.page == kInvalidPage) {
-            s.page = page;
+    while (slots_[i].page != page) {
+        if (slots_[i].page == kInvalidPage) {
+            // Grow only to insert: touching a resident page must keep
+            // every slot a request already resolved (reserveFor()
+            // counts only the absent pages).
+            if (!fits(size_ + 1)) {
+                grow();
+                i = hashPage(page) & mask_;
+                while (slots_[i].page != kInvalidPage)
+                    i = (i + 1) & mask_;
+            }
+            slots_[i].page = page;
             size_++;
-            return static_cast<std::uint32_t>(i);
+            break;
         }
         i = (i + 1) & mask_;
     }
+    return static_cast<std::uint32_t>(i);
 }
 
 void

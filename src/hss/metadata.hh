@@ -160,8 +160,8 @@ class PageMetaTable
     /** Probe for @p page; returns its slot index or kNil. */
     Slot find(PageId page) const;
 
-    /** Probe for @p page, claiming (and growing, if needed) an empty
-     *  slot when absent. */
+    /** Probe for @p page, claiming an empty slot when absent. Grows
+     *  only then, so a resident page's touch never moves a slot. */
     Slot findOrCreate(PageId page);
 
     /** Double the slot array, preserving every LRU chain's order. */

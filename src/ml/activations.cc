@@ -310,6 +310,36 @@ softmaxScale(float *v, float sum, std::size_t n)
         v[i] /= sum;
 }
 
+SIBYL_KERNEL_CLONES
+void
+softmaxLanesImpl(float *__restrict tile, std::size_t n)
+{
+    constexpr std::size_t kL = kSoftmaxLanes;
+    float mx[kL], sum[kL];
+    for (std::size_t l = 0; l < kL; l++)
+        mx[l] = tile[l];
+    for (std::size_t i = 1; i < n; i++)
+        for (std::size_t l = 0; l < kL; l++) {
+            // std::max_element's test: a later element wins only
+            // when strictly greater.
+            const float v = tile[i * kL + l];
+            mx[l] = mx[l] < v ? v : mx[l];
+        }
+    for (std::size_t i = 0; i < n; i++)
+        for (std::size_t l = 0; l < kL; l++)
+            tile[i * kL + l] = fastExpf(tile[i * kL + l] - mx[l]);
+    for (std::size_t l = 0; l < kL; l++)
+        sum[l] = 0.0f;
+    for (std::size_t i = 0; i < n; i++)
+        for (std::size_t l = 0; l < kL; l++)
+            sum[l] += tile[i * kL + l];
+    for (std::size_t l = 0; l < kL; l++)
+        sum[l] = sum[l] <= 0.0f ? 1.0f : sum[l];
+    for (std::size_t i = 0; i < n; i++)
+        for (std::size_t l = 0; l < kL; l++)
+            tile[i * kL + l] /= sum[l];
+}
+
 } // namespace
 
 void
@@ -327,6 +357,12 @@ softmax(float *v, std::size_t n)
     if (sum <= 0.0f)
         sum = 1.0f;
     softmaxScale(v, sum, n);
+}
+
+void
+softmaxLanes(float *tile, std::size_t n)
+{
+    softmaxLanesImpl(tile, n);
 }
 
 } // namespace sibyl::ml

@@ -77,4 +77,18 @@ void softmax(Vector &v);
 /** In-place softmax over a raw span (batched C51 head groups). */
 void softmax(float *v, std::size_t n);
 
+/** Rows softmaxLanes() advances together. */
+inline constexpr std::size_t kSoftmaxLanes = 8;
+
+/**
+ * In-place softmax of kSoftmaxLanes rows of @p n entries held
+ * lane-major in @p tile (entry i of lane l at
+ * tile[i * kSoftmaxLanes + l]). Per lane this is softmax(float *, n)
+ * step for step: first-max scan, exp(v - max), sequential sum with
+ * the <= 0 guard, divide; only the lanes advance together, so every
+ * lane's bits equal the per-row call's. The one lane softmax of the
+ * cross-entropy and the C51 target decode.
+ */
+void softmaxLanes(float *tile, std::size_t n);
+
 } // namespace sibyl::ml

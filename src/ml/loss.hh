@@ -33,12 +33,14 @@ float softmaxCrossEntropy(const Vector &logits, const Vector &target,
 /**
  * Batch-lane softmaxCrossEntropy() over @p rows independent rows:
  * row r's @p n logits are read in place at logits[r] and its soft
- * target at targets[r]; the loss goes to loss[r], and the gradient
- * softmax(logits[r]) - targets[r], times weights[r], is added into
- * grad[r][0..n). Rows are accumulated in ascending r, so rows that
- * share a gradient row (folded duplicate states) add in order. SIMD
- * runs across rows (lanes of eight) while each row's max, exponential
- * sum and loss stay sequential over its entries in
+ * target at targets[r]; the gradient softmax(logits[r]) - targets[r],
+ * times weights[r], is added into grad[r][0..n), and the loss goes to
+ * loss[r]. A null @p loss skips the loss (its per-entry log is most
+ * of this kernel's cost, and the gradient does not need it) and
+ * writes only the gradient. Rows are accumulated in ascending r, so
+ * rows that share a gradient row (folded duplicate states) add in
+ * order. SIMD runs across rows (softmaxLanes()) while each row's max,
+ * exponential sum and loss stay sequential over its entries in
  * softmaxCrossEntropy()'s order, so every output bit equals the
  * per-row call's followed by grad[r][i] += gradLogits[i] * weights[r].
  *

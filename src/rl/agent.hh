@@ -122,6 +122,17 @@ struct AgentConfig
      *  inference network. */
     bool doubleDqn = false;
 
+    /**
+     * Measure every training round's mean loss into
+     * AgentStats::lastLoss for a reader outside the agent (the
+     * guardrail sets it). The agents also measure it whenever they
+     * read it themselves (VDBE exploration; C51 prioritized replay)
+     * and on every explicit trainRound() call. Otherwise a round
+     * skips the loss, which the gradient does not need: the C51
+     * trainer then saves the per-atom log of its cross-entropy.
+     */
+    bool measureLoss = false;
+
     /** Tabular agent: quantization levels per state dimension. */
     std::uint32_t tableLevels = 64;
 
@@ -227,6 +238,9 @@ struct AgentStats
     /** Greedy decisions answered from the C51 agent's per-sync
      *  decision memo, without evaluating the network. */
     std::uint64_t decisionMemoHits = 0;
+    /** Mean training loss of the latest round: 0 before the first,
+     *  NaN ("not measured") after a cadence round of an agent with no
+     *  loss reader armed (see AgentConfig::measureLoss). */
     double lastLoss = 0.0;
 };
 
@@ -309,7 +323,8 @@ class Agent
         observe(std::move(e));
     }
 
-    /** Force one training round (for tests); returns the mean loss. */
+    /** Force one training round (for tests); returns the mean loss,
+     *  which is always measured. */
     virtual double trainRound() = 0;
 
     /** Behaviour counters. */

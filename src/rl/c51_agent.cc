@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "ml/loss.hh"
 
@@ -14,7 +15,9 @@ C51Agent::C51Agent(const C51Config &cfg)
       explore_(makeExploration(cfg)),
       rng_(cfg.seed, 0xA6E47),
       buffer_(cfg.bufferCapacity, cfg.dedupBuffer),
-      optimizer_(cfg.learningRate)
+      optimizer_(cfg.learningRate),
+      lossArmed_(cfg.measureLoss || cfg.prioritizedReplay ||
+                 cfg.exploration.kind == ExplorationKind::Vdbe)
 {
     std::vector<ml::LayerSpec> layers;
     for (auto h : cfg_.hidden)
@@ -206,7 +209,7 @@ C51Agent::afterObserve()
     std::uint64_t cadence =
         cfg_.trainEvery ? cfg_.trainEvery : cfg_.bufferCapacity;
     if (buffer_.full() && observations_ % cadence == 0)
-        trainRound();
+        runTrainingRound(lossArmed_);
     // Copy training -> inference weights every targetSyncEvery requests
     // (§6.2.2: every 1000 requests).
     if (observations_ % cfg_.targetSyncEvery == 0 &&
@@ -217,10 +220,20 @@ C51Agent::afterObserve()
 double
 C51Agent::trainRound()
 {
+    return runTrainingRound(true);
+}
+
+double
+C51Agent::runTrainingRound(bool measureLoss)
+{
     double loss = 0.0;
     for (std::uint32_t b = 0; b < cfg_.batchesPerTraining; b++)
-        loss += trainBatch();
+        loss += trainBatch(measureLoss);
     stats_.trainingRounds++;
+    if (!measureLoss) {
+        stats_.lastLoss = std::numeric_limits<double>::quiet_NaN();
+        return stats_.lastLoss;
+    }
     const double prev = stats_.lastLoss;
     stats_.lastLoss = loss / std::max(1u, cfg_.batchesPerTraining);
     // VDBE feedback: the *change* in training loss proxies the
@@ -233,7 +246,7 @@ C51Agent::trainRound()
 }
 
 double
-C51Agent::trainBatch()
+C51Agent::trainBatch(bool measureLoss)
 {
     if (cfg_.prioritizedReplay)
         buffer_.samplePrioritizedIndices(cfg_.batchSize, rng_,
@@ -242,26 +255,8 @@ C51Agent::trainBatch()
         buffer_.sampleIndices(cfg_.batchSize, rng_, indices_);
     if (indices_.empty())
         return 0.0;
-    return cfg_.batchedTraining ? trainBatchBatched(indices_)
+    return cfg_.batchedTraining ? trainBatchBatched(indices_, measureLoss)
                                 : trainBatchPerSample(indices_);
-}
-
-void
-C51Agent::greedyNextDist(const float *nrow, float *dist)
-{
-    // Greedy next action by distribution expectation; the winner's
-    // decoded distribution is copied out instead of being recomputed.
-    decodeRow(nrow);
-    std::uint32_t bestA = 0;
-    double bestQ = -1e30;
-    for (std::uint32_t a = 0; a < cfg_.numActions; a++) {
-        if (decodeQ_[a] > bestQ) {
-            bestQ = decodeQ_[a];
-            bestA = a;
-        }
-    }
-    const float *win = decodeProbs_.data() + bestA * cfg_.atoms;
-    std::copy(win, win + cfg_.atoms, dist);
 }
 
 void
@@ -319,9 +314,15 @@ C51Agent::refreshCachedTargets(const std::vector<std::size_t> &indices)
             std::copy(obs, obs + dim, nextBatch_.row(m));
         }
         const ml::Matrix &fresh = inferenceNet_->infer(nextBatch_);
-        for (std::size_t m = 0; m < memoMisses_.size(); m++)
-            greedyNextDist(fresh.row(m),
-                           memoDist_.get() + memoMisses_[m] * atoms);
+        decodeIn_.resize(memoMisses_.size());
+        decodeOut_.resize(memoMisses_.size());
+        for (std::size_t m = 0; m < memoMisses_.size(); m++) {
+            decodeIn_[m] = fresh.row(m);
+            decodeOut_[m] = memoDist_.get() + memoMisses_[m] * atoms;
+        }
+        support_.greedyDistRows(decodeIn_.data(), memoMisses_.size(),
+                                cfg_.numActions, decodeOut_.data(),
+                                laneTile_);
     }
     for (std::size_t u = 0; u < uncachedRows_.size(); u++) {
         const std::size_t idx = uncachedRows_[u];
@@ -333,7 +334,8 @@ C51Agent::refreshCachedTargets(const std::vector<std::size_t> &indices)
 }
 
 double
-C51Agent::trainBatchBatched(const std::vector<std::size_t> &indices)
+C51Agent::trainBatchBatched(const std::vector<std::size_t> &indices,
+                            bool measureLoss)
 {
     const std::size_t batch = indices.size();
     const bool useCache = cfg_.cacheNextValues;
@@ -373,11 +375,18 @@ C51Agent::trainBatchBatched(const std::vector<std::size_t> &indices)
                       nextBatch_.row(r));
         }
         const ml::Matrix &nextOut = inferenceNet_->infer(nextBatch_);
-        freshTargets_.resize(batch, atoms);
-        rowDist_.resize(atoms);
+        nextDists_.resize(batch, atoms);
+        decodeIn_.resize(batch);
+        decodeOut_.resize(batch);
         for (std::size_t r = 0; r < batch; r++) {
-            greedyNextDist(nextOut.row(r), rowDist_.data());
-            support_.project(rowDist_.data(), buffer_[indices[r]].reward,
+            decodeIn_[r] = nextOut.row(r);
+            decodeOut_[r] = nextDists_.row(r);
+        }
+        support_.greedyDistRows(decodeIn_.data(), batch, cfg_.numActions,
+                                decodeOut_.data(), laneTile_);
+        freshTargets_.resize(batch, atoms);
+        for (std::size_t r = 0; r < batch; r++) {
+            support_.project(nextDists_.row(r), buffer_[indices[r]].reward,
                              cfg_.gamma, freshTargets_.row(r));
             targetRows_[r] = freshTargets_.row(r);
         }
@@ -411,17 +420,24 @@ C51Agent::trainBatchBatched(const std::vector<std::size_t> &indices)
         logitRows_[r] = out.row(ui) + off;
         gradRows_[r] = gradOutM_.row(ui) + off;
     }
+    // The loss only feeds its readers (PER priorities, VDBE, the
+    // guardrail); unread, it is skipped.
+    assert(measureLoss || !cfg_.prioritizedReplay);
     rowLoss_.resize(batch);
     ml::softmaxCrossEntropyRows(logitRows_.data(), targetRows_.data(),
                                 rowWeight_.data(), gradRows_.data(), batch,
-                                atoms, rowLoss_.data(), lossTile_);
+                                atoms,
+                                measureLoss ? rowLoss_.data() : nullptr,
+                                laneTile_);
 
     double totalLoss = 0.0;
-    for (std::size_t r = 0; r < batch; r++) {
-        const double loss = rowLoss_[r];
-        totalLoss += loss;
-        if (cfg_.prioritizedReplay)
-            buffer_.setPriority(indices[r], static_cast<float>(loss));
+    if (measureLoss) {
+        for (std::size_t r = 0; r < batch; r++) {
+            const double loss = rowLoss_[r];
+            totalLoss += loss;
+            if (cfg_.prioritizedReplay)
+                buffer_.setPriority(indices[r], static_cast<float>(loss));
+        }
     }
 
     trainingNet_->backward(gradOutM_);
@@ -447,9 +463,11 @@ C51Agent::trainBatchPerSample(const std::vector<std::size_t> &indices)
         // Bellman target from the *inference* network (frozen between
         // syncs, playing the target-network role): distribution of the
         // greedy next action.
-        const ml::Vector &nextOut = inferenceNet_->forward(e->nextState);
+        const float *nextOut = inferenceNet_->forward(e->nextState).data();
         nextDist.resize(cfg_.atoms);
-        greedyNextDist(nextOut.data(), nextDist.data());
+        float *dist = nextDist.data();
+        support_.greedyDistRows(&nextOut, 1, cfg_.numActions, &dist,
+                                laneTile_);
         support_.project(nextDist, e->reward, cfg_.gamma, target);
 
         // Cross-entropy between the projected target and the training

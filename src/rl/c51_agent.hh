@@ -79,7 +79,8 @@ class C51Agent final : public Agent
                            float reward,
                            const ml::Vector &nextState) override;
 
-    /** Force one training round (for tests). */
+    /** Force one training round (for tests); always measures the
+     *  loss it returns. */
     double trainRound() override;
 
     /** Copy the training weights to the inference network — the only
@@ -127,24 +128,24 @@ class C51Agent final : public Agent
      *  the decoded expectations over the allowed actions. */
     std::uint32_t greedyFromRow(const float *out);
 
-    /** Greedy-next-action selection for one inference-network output
-     *  row: pick the argmax by expectation (first max wins) and copy
-     *  the winner's distribution to @p dist (atoms floats). One
-     *  definition shared by every target path, so the cache-on/off
-     *  and batched/per-sample equalities cannot drift. */
-    void greedyNextDist(const float *nrow, float *dist);
-
     /** Fill targetCache_ for every sampled entry not yet projected
      *  under the current frozen weights, evaluating each distinct
      *  next state at most once per sync period (see
      *  AgentConfig::cacheNextValues). */
     void refreshCachedTargets(const std::vector<std::size_t> &indices);
 
-    /** One gradient step on a sampled batch; returns mean loss. */
-    double trainBatch();
+    /** One training round (batchesPerTraining batches). Measures
+     *  the loss into stats_.lastLoss when @p measureLoss, else sets
+     *  it to NaN and skips the loss where that saves work. */
+    double runTrainingRound(bool measureLoss);
+
+    /** One gradient step on a sampled batch; returns mean loss (0
+     *  when the batched path skips it, !measureLoss). */
+    double trainBatch(bool measureLoss);
 
     /** Batched path: whole minibatch per GEMM (cfg.batchedTraining). */
-    double trainBatchBatched(const std::vector<std::size_t> &indices);
+    double trainBatchBatched(const std::vector<std::size_t> &indices,
+                             bool measureLoss);
 
     /** Legacy per-sample path (test reference for the batched one). */
     double trainBatchPerSample(const std::vector<std::size_t> &indices);
@@ -159,6 +160,9 @@ class C51Agent final : public Agent
     ml::Adam optimizer_;
     C51Stats stats_;
     std::uint64_t observations_ = 0;
+    /** Something reads cadence rounds' loss (AgentConfig::measureLoss,
+     *  prioritized replay, VDBE). */
+    bool lossArmed_;
 
     // Reused batch-assembly scratch (no steady-state allocation).
     std::vector<std::size_t> indices_; // sampled replay entries
@@ -167,21 +171,24 @@ class C51Agent final : public Agent
     ml::Matrix nextBatch_;
     ml::Matrix gradOutM_;
     ml::Matrix freshTargets_;             // uncached-path targets
+    ml::Matrix nextDists_;                // uncached-path greedy dists
     std::vector<const float *> targetRows_; // per row: its target
     std::vector<const float *> logitRows_;  // per row: taken-action logits
     std::vector<float *> gradRows_;         // per row: its gradient span
     std::vector<float> rowWeight_;          // per row: PER weight or 1
     std::vector<float> rowLoss_;
-    ml::Vector lossTile_;                 // softmaxCrossEntropyRows scratch
+    ml::Vector laneTile_; // lane-major scratch: loss and target decode
 
     // Reused decode scratch: every action's softmaxed atom group and
-    // expectation for one row (decodeRow), the greedy next
-    // distribution of the uncached training path, and the allowed
-    // actions' Q values for restricted Boltzmann draws.
+    // expectation for one row (decodeRow), the allowed actions' Q
+    // values for restricted Boltzmann draws, and the rows and
+    // destinations of the targets' greedy next-state decode
+    // (greedyDistRows).
     ml::Vector decodeProbs_;
     std::vector<double> decodeQ_;
-    ml::Vector rowDist_;
     std::vector<double> qScratch_;
+    std::vector<const float *> decodeIn_;
+    std::vector<float *> decodeOut_;
 
     // Per-sync memo of greedy decisions, keyed on the observation
     // bytes. The inference network is frozen between syncs and the

@@ -51,6 +51,56 @@ CategoricalSupport::decode(const float *logits, std::uint32_t actions,
 }
 
 void
+CategoricalSupport::greedyDistRows(const float *const *logits,
+                                   std::size_t rows, std::uint32_t actions,
+                                   float *const *dist,
+                                   ml::Vector &tile) const
+{
+    constexpr std::size_t kL = ml::kSoftmaxLanes;
+    const std::size_t group = atoms_ * kL; // one action, all lanes
+    tile.resize(actions * group);
+    for (std::size_t r0 = 0; r0 < rows; r0 += kL) {
+        const std::size_t lanes = std::min(kL, rows - r0);
+        double bestQ[kL];
+        std::uint32_t bestA[kL];
+        for (std::size_t l = 0; l < kL; l++) {
+            bestQ[l] = -1e30;
+            bestA[l] = 0;
+        }
+        for (std::uint32_t a = 0; a < actions; a++) {
+            float *t = tile.data() + a * group;
+            for (std::size_t l = 0; l < kL; l++) {
+                const float *in =
+                    l < lanes ? logits[r0 + l] + a * atoms_ : nullptr;
+                for (std::uint32_t i = 0; i < atoms_; i++)
+                    t[i * kL + l] = in ? in[i] : 0.0f;
+            }
+            ml::softmaxLanes(t, atoms_);
+            // expectation(), lane by lane: sequential over the atoms.
+            double q[kL] = {};
+            for (std::uint32_t i = 0; i < atoms_; i++) {
+                const double z = atomValue(i);
+                for (std::size_t l = 0; l < kL; l++)
+                    q[l] += static_cast<double>(t[i * kL + l]) * z;
+            }
+            // First max wins: a later action must be strictly larger.
+            for (std::size_t l = 0; l < kL; l++) {
+                if (q[l] > bestQ[l]) {
+                    bestQ[l] = q[l];
+                    bestA[l] = a;
+                }
+            }
+        }
+        for (std::size_t l = 0; l < lanes; l++) {
+            const float *win = tile.data() + bestA[l] * group;
+            float *out = dist[r0 + l];
+            for (std::uint32_t i = 0; i < atoms_; i++)
+                out[i] = win[i * kL + l];
+        }
+    }
+}
+
+void
 CategoricalSupport::project(const ml::Vector &nextProbs, double reward,
                             double gamma, ml::Vector &target) const
 {

@@ -57,6 +57,25 @@ class CategoricalSupport
                 double *q) const;
 
     /**
+     * Greedy distribution of each of @p rows C51 network output rows:
+     * decode() row r's @p actions atom groups, take the first action
+     * whose expectation is largest (it must exceed -1e30; action 0
+     * wins otherwise, e.g. when every expectation is NaN) and copy
+     * that action's softmax to dist[r][0..atoms). Rows run
+     * ml::kSoftmaxLanes at a time through a lane-major tile
+     * (ml::softmaxLanes()); each lane keeps decode()'s operation
+     * order, so every output bit equals the per-row decode and argmax.
+     * The one greedy next-state decode of the Bellman targets.
+     *
+     * @param tile Lane-major working storage (resized to
+     *             actions x atoms x 8 floats; reuse it across calls to
+     *             stay allocation-free).
+     */
+    void greedyDistRows(const float *const *logits, std::size_t rows,
+                        std::uint32_t actions, float *const *dist,
+                        ml::Vector &tile) const;
+
+    /**
      * Project the Bellman-updated distribution onto this support:
      * target[j] accumulates nextProbs[i] mass at clamp(r + gamma*z_i).
      *

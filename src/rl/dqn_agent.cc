@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace sibyl::rl
 {
@@ -11,7 +12,9 @@ DqnAgent::DqnAgent(const AgentConfig &cfg)
       explore_(makeExploration(cfg)),
       rng_(cfg.seed, 0xD62),
       buffer_(cfg.bufferCapacity, cfg.dedupBuffer),
-      optimizer_(cfg.learningRate)
+      optimizer_(cfg.learningRate),
+      lossArmed_(cfg.measureLoss ||
+                 cfg.exploration.kind == ExplorationKind::Vdbe)
 {
     std::vector<ml::LayerSpec> layers;
     for (auto h : cfg_.hidden)
@@ -155,7 +158,7 @@ DqnAgent::afterObserve()
     const std::uint64_t cadence =
         cfg_.trainEvery ? cfg_.trainEvery : cfg_.bufferCapacity;
     if (buffer_.full() && observations_ % cadence == 0)
-        trainRound();
+        runTrainingRound(lossArmed_);
     if (observations_ % cfg_.targetSyncEvery == 0 &&
         stats_.trainingRounds > 0)
         syncWeights();
@@ -164,10 +167,22 @@ DqnAgent::afterObserve()
 double
 DqnAgent::trainRound()
 {
+    return runTrainingRound(true);
+}
+
+double
+DqnAgent::runTrainingRound(bool measureLoss)
+{
     double loss = 0.0;
     for (std::uint32_t b = 0; b < cfg_.batchesPerTraining; b++)
         loss += trainBatch();
     stats_.trainingRounds++;
+    // The squared TD error costs next to nothing here, but an unread
+    // loss reads "not measured", as the C51 agent's does.
+    if (!measureLoss) {
+        stats_.lastLoss = std::numeric_limits<double>::quiet_NaN();
+        return stats_.lastLoss;
+    }
     const double prev = stats_.lastLoss;
     stats_.lastLoss = loss / std::max(1u, cfg_.batchesPerTraining);
     // VDBE feedback: the change in RMS TD error. The raw TD error

@@ -46,6 +46,8 @@ class DqnAgent final : public Agent
     void observeTransition(const ml::Vector &state, std::uint32_t action,
                            float reward,
                            const ml::Vector &nextState) override;
+    /** Force one training round (for tests); always measures the
+     *  loss it returns. */
     double trainRound() override;
 
     const AgentStats &stats() const override { return stats_; }
@@ -79,6 +81,10 @@ class DqnAgent final : public Agent
      *  observe paths. */
     void afterObserve();
 
+    /** One training round; stats_.lastLoss reads NaN unless
+     *  @p measureLoss. */
+    double runTrainingRound(bool measureLoss);
+
     /** One gradient step on a sampled batch; returns the mean loss. */
     double trainBatch();
 
@@ -97,6 +103,9 @@ class DqnAgent final : public Agent
     ml::Adam optimizer_;
     AgentStats stats_;
     std::uint64_t observations_ = 0;
+    /** Something reads cadence rounds' loss (AgentConfig::measureLoss,
+     *  VDBE). */
+    bool lossArmed_;
 
     // Reused batch-assembly scratch (no steady-state allocation).
     std::vector<std::size_t> indices_; // sampled replay entries

@@ -135,7 +135,10 @@ class Guardrail
      * agent acted (and possibly trained). Samples any new training
      * round's loss, maintains the divergence window, runs the
      * stuck-action guard, and takes the periodic last-good snapshot.
-     * Returns a non-empty trip reason when a guard fired.
+     * Returns a non-empty trip reason when a guard fired. The agent
+     * must measure its loss (AgentConfig::measureLoss, which the
+     * Sibyl policy sets when its guardrail is enabled): an unmeasured
+     * round's NaN would read as a non-finite loss.
      */
     std::string afterDecision(const Agent &agent, std::uint32_t action);
 

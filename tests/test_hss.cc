@@ -10,6 +10,9 @@
 #include "common/rng.hh"
 #include "hss/hybrid_system.hh"
 #include "hss/metadata.hh"
+#include "policies/oracle.hh"
+#include "sim/simulator.hh"
+#include "trace/workloads.hh"
 
 #include <list>
 #include <stdexcept>
@@ -564,6 +567,66 @@ TEST(HybridSystem, GrowingTableServesLikePresized)
     for (DeviceId d = 0; d < 2; d++)
         EXPECT_EQ(grown.metadata().residency(d),
                   presized.metadata().residency(d));
+
+    // A real trace: Oracle on proj_3 under H&M, through the simulator's
+    // request stepper. Its growing table reaches the load limit with
+    // the last absent page of a request and then re-touches resident
+    // pages, which must not grow the table (request 25085 once
+    // promoted one page too many).
+    const trace::Trace t = trace::makeWorkload("proj_3", 40000, 4);
+    const auto specs = makeHssConfig("H&M", t.uniquePages());
+    HybridSystem growing(specs, 42, /*expectedPages=*/0);
+    HybridSystem sized(specs, 42, t.uniquePages());
+    policies::OraclePolicy growingOracle, sizedOracle;
+    growingOracle.prepare(t, growing);
+    sizedOracle.prepare(t, sized);
+    sim::RequestStepper growingSteps(growing, growingOracle, {}, t.size());
+    sim::RequestStepper sizedSteps(sized, sizedOracle, {}, t.size());
+    for (std::size_t i = 0; i < t.size(); i++) {
+        growingSteps.step(t[i]);
+        sizedSteps.step(t[i]);
+        ASSERT_EQ(growing.metadata().checkInvariants(), "")
+            << "request " << i;
+        const HssCounters &g = growing.counters();
+        const HssCounters &z = sized.counters();
+        ASSERT_EQ(g.promotions, z.promotions) << "request " << i;
+        ASSERT_EQ(g.evictedPages, z.evictedPages) << "request " << i;
+        ASSERT_EQ(g.placements, z.placements) << "request " << i;
+    }
+    EXPECT_GT(growing.metadata().slotCapacity(),
+              PageMetaTable::kDefaultSlots);
+    const sim::RunMetrics mg = growingSteps.finish();
+    const sim::RunMetrics mz = sizedSteps.finish();
+    EXPECT_EQ(mg.avgLatencyUs, mz.avgLatencyUs);
+    for (DeviceId d = 0; d < 2; d++)
+        EXPECT_EQ(growing.metadata().residency(d),
+                  sized.metadata().residency(d));
+}
+
+/** Touching a resident page never grows the table, even with the table
+ *  exactly at its load limit: the slots a request resolved stay valid. */
+TEST(PageMetaTable, TouchingResidentPageAtLoadLimitKeepsSlots)
+{
+    PageMetaTable meta(2, /*initialSlots=*/16);
+    // 16 slots at a 0.6 load limit hold 9 pages.
+    std::vector<PageMetaTable::Slot> slots;
+    for (PageId p = 0; p < 9; p++) {
+        slots.push_back(meta.touch(p));
+        meta.mapAt(slots.back(), static_cast<DeviceId>(p % 2));
+    }
+    ASSERT_EQ(meta.slotCapacity(), 16u);
+    for (int round = 0; round < 3; round++)
+        for (PageId p = 0; p < 9; p++) {
+            ASSERT_EQ(meta.touch(p), slots[p]) << "page " << p;
+            ASSERT_EQ(meta.slotCapacity(), 16u) << "page " << p;
+        }
+    ASSERT_EQ(meta.checkInvariants(), "");
+    // The next absent page grows the table, keeping every page.
+    meta.touch(9);
+    EXPECT_EQ(meta.slotCapacity(), 32u);
+    EXPECT_EQ(meta.mappedPages(), 10u);
+    EXPECT_EQ(meta.accessCount(0), 4u);
+    EXPECT_EQ(meta.checkInvariants(), "");
 }
 
 TEST(MakeHssConfig, RejectsUnknownShorthandListingValidNames)

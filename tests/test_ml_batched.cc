@@ -306,8 +306,10 @@ TEST(KernelOracle, CrossEntropyRowsMatchPerRowBitwise)
                 Matrix grad = saltedMatrix(gradRows, 2 * n, rng, false,
                                            false);
                 Matrix refGrad = grad;
+                Matrix noLossGrad = grad;
                 std::vector<const float *> lp(batch), tp(batch);
-                std::vector<float *> gp(batch), refGp(batch);
+                std::vector<float *> gp(batch), refGp(batch),
+                    noLossGp(batch);
                 std::vector<float> w(batch);
                 for (std::size_t r = 0; r < batch; r++) {
                     lp[r] = logits.row(rng.nextBounded(
@@ -319,6 +321,7 @@ TEST(KernelOracle, CrossEntropyRowsMatchPerRowBitwise)
                     const std::size_t off = rng.nextBool(0.5) ? n : 0;
                     gp[r] = grad.row(g) + off;
                     refGp[r] = refGrad.row(g) + off;
+                    noLossGp[r] = noLossGrad.row(g) + off;
                     w[r] = special
                         ? static_cast<float>(rng.nextDouble(0.0, 1.0))
                         : 1.0f;
@@ -334,6 +337,14 @@ TEST(KernelOracle, CrossEntropyRowsMatchPerRowBitwise)
                     << " special=" << special;
                 ASSERT_TRUE(sameBytes(loss.data(), refLoss.data(), batch))
                     << "n=" << n << " batch=" << batch
+                    << " special=" << special;
+                // Without a loss output: the same gradient bits.
+                softmaxCrossEntropyRows(lp.data(), tp.data(), w.data(),
+                                        noLossGp.data(), batch, n, nullptr,
+                                        tile);
+                ASSERT_TRUE(sameBytes(noLossGrad.data(), refGrad.data(),
+                                      grad.size()))
+                    << "null loss: n=" << n << " batch=" << batch
                     << " special=" << special;
             }
 }
@@ -1016,9 +1027,10 @@ TEST(DuplicateFold, C51WithinTolerance)
 // default-hyper-parameter C51 agent (6-20-30-102, 128 x 8 replays,
 // folding and target cache on) through three training rounds and
 // three weight syncs on a fixed quantized stream, and pins the
-// trained parameters and the last round's loss bit for bit. Kernel
-// rewrites must keep every floating-point expression tree, so these
-// constants only move with a deliberate numerics change.
+// trained parameters, and the last round's loss on an agent that
+// measures it, bit for bit. Kernel rewrites must keep every
+// floating-point expression tree, so these constants only move with
+// a deliberate numerics change.
 // ---------------------------------------------------------------------
 
 std::uint64_t
@@ -1033,10 +1045,13 @@ fnv1a(const void *data, std::size_t len)
     return h;
 }
 
-TEST(TrainingPin, C51DefaultHyperParametersBitExact)
+/** Feed @p agent the pin's stream: 3500 quantized transitions. With
+ *  @p actions, the agent also decides each state before observing its
+ *  transition, and the decisions are appended there. */
+void
+feedPinStream(C51Agent &agent, std::vector<std::uint8_t> *actions = nullptr)
 {
-    AgentConfig cfg; // Table 2 defaults: trains and syncs every 1000
-    C51Agent agent(cfg);
+    const AgentConfig &cfg = agent.config();
     Pcg32 data(0x51B1);
     for (int i = 0; i < 3500; i++) {
         ml::Vector state(cfg.stateDim), next(cfg.stateDim);
@@ -1046,19 +1061,81 @@ TEST(TrainingPin, C51DefaultHyperParametersBitExact)
             v = quantized(data);
         const std::uint32_t action = data.nextBounded(cfg.numActions);
         const auto reward = static_cast<float>(data.nextDouble(0.0, 2.0));
+        if (actions)
+            actions->push_back(
+                static_cast<std::uint8_t>(agent.selectAction(state)));
         agent.observeTransition(state, action, reward, next);
     }
+}
+
+std::uint64_t
+paramHash(const C51Agent &agent)
+{
+    const auto params = agent.trainingNetwork().saveParams();
+    return fnv1a(params.data(), params.size() * sizeof(float));
+}
+
+TEST(TrainingPin, C51DefaultHyperParametersBitExact)
+{
+    AgentConfig cfg; // Table 2 defaults: trains and syncs every 1000
+    C51Agent agent(cfg);
+    feedPinStream(agent);
     ASSERT_EQ(agent.stats().trainingRounds, 3u);
     ASSERT_EQ(agent.stats().weightSyncs, 3u);
     ASSERT_EQ(agent.stats().gradientSteps, 3u * 8u * 128u);
+    const std::uint64_t hash = paramHash(agent);
+    EXPECT_EQ(hash, 0xacd929643335c1abULL) << std::hex << "params 0x" << hash;
+    // Nothing reads a default agent's loss, so no round measures it.
+    EXPECT_TRUE(std::isnan(agent.stats().lastLoss));
 
-    const auto params = agent.trainingNetwork().saveParams();
-    const double loss = agent.stats().lastLoss;
-    const std::uint64_t paramHash =
-        fnv1a(params.data(), params.size() * sizeof(float));
-    const auto lossBits = std::bit_cast<std::uint64_t>(loss);
-    EXPECT_EQ(paramHash, 0xacd929643335c1abULL) << std::hex << "params 0x" << paramHash;
+    AgentConfig armedCfg;
+    armedCfg.measureLoss = true;
+    C51Agent armed(armedCfg);
+    feedPinStream(armed);
+    EXPECT_EQ(paramHash(armed), hash);
+    const auto lossBits = std::bit_cast<std::uint64_t>(armed.stats().lastLoss);
     EXPECT_EQ(lossBits, 0x400fe64417d80000ULL) << std::hex << "lastLoss 0x" << lossBits;
+}
+
+/** Measuring the loss changes no training or decision bit: twin
+ *  default agents, one with a loss reader armed, decide and train on
+ *  the pin's stream in lockstep. */
+TEST(TrainingPin, LossReaderChangesNoTrainingBit)
+{
+    AgentConfig cfg;
+    AgentConfig armedCfg = cfg;
+    armedCfg.measureLoss = true;
+    C51Agent plain(cfg);
+    C51Agent armed(armedCfg);
+    std::vector<std::uint8_t> plainActions, armedActions;
+    feedPinStream(plain, &plainActions);
+    feedPinStream(armed, &armedActions);
+    ASSERT_EQ(plain.stats().trainingRounds, 3u);
+    EXPECT_EQ(paramHash(plain), paramHash(armed));
+    EXPECT_EQ(plainActions, armedActions);
+    EXPECT_EQ(plain.stats().decisionMemoHits, armed.stats().decisionMemoHits);
+    EXPECT_TRUE(std::isnan(plain.stats().lastLoss));
+    EXPECT_TRUE(std::isfinite(armed.stats().lastLoss));
+    EXPECT_GT(armed.stats().lastLoss, 0.0);
+
+    // An explicit round is its own reader: it measures either way.
+    const double a = plain.trainRound();
+    const double b = armed.trainRound();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
+    EXPECT_EQ(plain.stats().lastLoss, a);
+    EXPECT_EQ(paramHash(plain), paramHash(armed));
+
+    // Agents that read their own loss arm themselves.
+    AgentConfig per;
+    per.prioritizedReplay = true;
+    AgentConfig vdbe;
+    vdbe.exploration.kind = ExplorationKind::Vdbe;
+    for (const AgentConfig &c : {per, vdbe}) {
+        C51Agent self(c);
+        feedPinStream(self);
+        ASSERT_EQ(self.stats().trainingRounds, 3u);
+        EXPECT_TRUE(std::isfinite(self.stats().lastLoss));
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -452,10 +452,67 @@ sameBits(T a, T b)
     return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-TEST(C51Decode, MatchesPerActionSoftmaxExpectationBitwise)
+/**
+ * Eleven @p actions x @p atoms output rows: one random row, then ten
+ * that each plant an edge case in one action group — NaN (as the max
+ * and later), +-0 maxima, +-Inf, fastExpf saturation, an exact
+ * all-action tie (row 8), an all -Inf group and logits far below 0.
+ */
+std::vector<ml::Vector>
+decodeEdgeRows(std::uint32_t atoms, std::uint32_t actions, Pcg32 &rng)
 {
     const float inf = std::numeric_limits<float>::infinity();
     const float nan = std::numeric_limits<float>::quiet_NaN();
+    const std::size_t width = static_cast<std::size_t>(actions) * atoms;
+    std::vector<ml::Vector> rows;
+    for (int kind = 0; kind < 11; kind++) {
+        ml::Vector r(width);
+        for (auto &v : r)
+            v = static_cast<float>(rng.nextDouble(-4.0, 4.0));
+        const std::uint32_t a = kind % actions;
+        float *g = r.data() + a * atoms;
+        switch (kind) {
+          case 1: g[0] = nan; break;         // NaN max
+          case 2: g[atoms - 1] = nan; break; // NaN skipped
+          case 3: // +-0 maxima: all <= 0, first max -0
+            for (std::uint32_t i = 0; i < atoms; i++)
+                g[i] = -std::abs(g[i]);
+            g[0] = -0.0f;
+            g[atoms - 1] = 0.0f;
+            break;
+          case 4: // +0 first, -0 later
+            for (std::uint32_t i = 0; i < atoms; i++)
+                g[i] = -std::abs(g[i]);
+            g[atoms / 2] = 0.0f;
+            g[atoms - 1] = -0.0f;
+            break;
+          case 5: g[atoms / 2] = inf; break;
+          case 6: g[atoms - 1] = -inf; g[0] = inf; break;
+          case 7: // fastExpf saturation
+            g[0] = 1e4f;
+            g[atoms - 1] = -1e4f;
+            break;
+          case 8: // exact Q tie: every action the same
+            for (std::uint32_t b = 1; b < actions; b++)
+                std::copy(r.begin(), r.begin() + atoms,
+                          r.begin() + b * atoms);
+            break;
+          case 9: // all -Inf group
+            std::fill(g, g + atoms, -inf);
+            break;
+          case 10: // every logit well below zero
+            for (std::uint32_t i = 0; i < atoms; i++)
+                g[i] = -20.0f - std::abs(g[i]);
+            break;
+          default: break;
+        }
+        rows.push_back(r);
+    }
+    return rows;
+}
+
+TEST(C51Decode, MatchesPerActionSoftmaxExpectationBitwise)
+{
     for (const std::uint32_t atoms : {2u, 51u, 64u}) {
         for (const std::uint32_t actions : {2u, 3u, 4u}) {
             for (const double vmin : {0.0, -10.0}) {
@@ -468,50 +525,8 @@ TEST(C51Decode, MatchesPerActionSoftmaxExpectationBitwise)
                 const std::size_t width =
                     static_cast<std::size_t>(actions) * atoms;
                 Pcg32 rng(atoms * 131 + actions);
-                std::vector<ml::Vector> rows;
-                for (int kind = 0; kind < 11; kind++) {
-                    ml::Vector r(width);
-                    for (auto &v : r)
-                        v = static_cast<float>(rng.nextDouble(-4.0, 4.0));
-                    const std::uint32_t a = kind % actions;
-                    float *g = r.data() + a * atoms;
-                    switch (kind) {
-                      case 1: g[0] = nan; break;         // NaN max
-                      case 2: g[atoms - 1] = nan; break; // NaN skipped
-                      case 3: // +-0 maxima: all <= 0, first max -0
-                        for (std::uint32_t i = 0; i < atoms; i++)
-                            g[i] = -std::abs(g[i]);
-                        g[0] = -0.0f;
-                        g[atoms - 1] = 0.0f;
-                        break;
-                      case 4: // +0 first, -0 later
-                        for (std::uint32_t i = 0; i < atoms; i++)
-                            g[i] = -std::abs(g[i]);
-                        g[atoms / 2] = 0.0f;
-                        g[atoms - 1] = -0.0f;
-                        break;
-                      case 5: g[atoms / 2] = inf; break;
-                      case 6: g[atoms - 1] = -inf; g[0] = inf; break;
-                      case 7: // fastExpf saturation
-                        g[0] = 1e4f;
-                        g[atoms - 1] = -1e4f;
-                        break;
-                      case 8: // exact Q tie: every action the same
-                        for (std::uint32_t b = 1; b < actions; b++)
-                            std::copy(r.begin(), r.begin() + atoms,
-                                      r.begin() + b * atoms);
-                        break;
-                      case 9: // all -Inf group
-                        std::fill(g, g + atoms, -inf);
-                        break;
-                      case 10: // every logit well below zero
-                        for (std::uint32_t i = 0; i < atoms; i++)
-                            g[i] = -20.0f - std::abs(g[i]);
-                        break;
-                      default: break;
-                    }
-                    rows.push_back(r);
-                }
+                const std::vector<ml::Vector> rows =
+                    decodeEdgeRows(atoms, actions, rng);
                 std::vector<float> probs(width), refProbs;
                 std::vector<double> q(actions), refQ;
                 for (std::size_t r = 0; r < rows.size(); r++) {
@@ -537,6 +552,83 @@ TEST(C51Decode, MatchesPerActionSoftmaxExpectationBitwise)
                 // Exact tie: the first action wins.
                 agent.setActionMask(0xFFFFFFFFu);
                 EXPECT_EQ(agent.selectActionFromRow(rows[8].data()), 0u);
+            }
+        }
+    }
+}
+
+/**
+ * The lane decode of the Bellman targets equals the per-row decode()
+ * followed by the target path's first-max argmax (an expectation must
+ * beat -1e30), bit for bit, at every live-lane count of a tile and
+ * across a tile boundary, on the edge-case rows above and a tie.
+ */
+TEST(C51Decode, LaneGreedyDistMatchesPerRowDecodeBitwise)
+{
+    for (const std::uint32_t atoms : {2u, 51u, 64u}) {
+        for (const std::uint32_t actions : {2u, 3u, 4u}) {
+            for (const double vmin : {0.0, -10.0}) {
+                const CategoricalSupport sup(vmin, 12.0, atoms);
+                const std::size_t width =
+                    static_cast<std::size_t>(actions) * atoms;
+                Pcg32 rng(atoms * 131 + actions);
+                std::vector<ml::Vector> rows =
+                    decodeEdgeRows(atoms, actions, rng);
+                // A Q tie between different distributions: every
+                // group puts all its mass on the last atom (in float)
+                // but a different sliver on atom 0, so with two atoms
+                // and vmin 0 every expectation is exactly 12. Only the
+                // first max copies action 0's sliver.
+                ml::Vector tie(width, -40.0f);
+                for (std::uint32_t a = 0; a < actions; a++) {
+                    tie[a * atoms] = -20.0f - static_cast<float>(a);
+                    tie[a * atoms + atoms - 1] = 0.0f;
+                }
+                rows.push_back(tie);
+                const std::size_t n = rows.size();
+
+                std::vector<ml::Vector> ref(n, ml::Vector(atoms));
+                std::vector<float> probs(width);
+                std::vector<double> q(actions);
+                for (std::size_t r = 0; r < n; r++) {
+                    sup.decode(rows[r].data(), actions, probs.data(),
+                               q.data());
+                    std::uint32_t best = 0;
+                    double bestQ = -1e30;
+                    for (std::uint32_t a = 0; a < actions; a++) {
+                        if (q[a] > bestQ) {
+                            bestQ = q[a];
+                            best = a;
+                        }
+                    }
+                    std::copy(probs.begin() + best * atoms,
+                              probs.begin() + (best + 1) * atoms,
+                              ref[r].begin());
+                }
+
+                ml::Vector tile;
+                for (std::size_t live = 1; live <= n; live++) {
+                    for (std::size_t first = 0; first < n; first++) {
+                        std::vector<const float *> in(live);
+                        std::vector<ml::Vector> out(live,
+                                                    ml::Vector(atoms));
+                        std::vector<float *> dist(live);
+                        for (std::size_t k = 0; k < live; k++) {
+                            in[k] = rows[(first + k) % n].data();
+                            dist[k] = out[k].data();
+                        }
+                        sup.greedyDistRows(in.data(), live, actions,
+                                           dist.data(), tile);
+                        for (std::size_t k = 0; k < live; k++) {
+                            const std::size_t r = (first + k) % n;
+                            for (std::uint32_t i = 0; i < atoms; i++)
+                                ASSERT_TRUE(sameBits(out[k][i], ref[r][i]))
+                                    << "atoms " << atoms << " actions "
+                                    << actions << " live " << live
+                                    << " row " << r << " atom " << i;
+                        }
+                    }
+                }
             }
         }
     }
