@@ -79,29 +79,12 @@ banner(const std::string &title)
 }
 
 void
-runLineup(const LineupSpec &spec)
+runLineup(const scenario::ScenarioSpec &spec, const std::string &title,
+          Metric metric, const std::string &jsonPath)
 {
-    banner(spec.title);
+    banner(title);
 
-    sim::ExperimentMatrix matrix;
-    matrix.policies = spec.policies;
-    matrix.workloads = spec.workloads;
-    matrix.hssConfigs = spec.configs;
-    matrix.seeds = spec.seeds.empty()
-        ? std::vector<std::uint64_t>{42}
-        : spec.seeds;
-    matrix.mixedWorkloads = spec.mixed;
-    matrix.fastCapacityFrac = spec.fastFrac;
-    // Mixed workloads split the request budget across their components.
-    matrix.traceLen =
-        spec.mixed && spec.traceLen ? spec.traceLen / 2 : spec.traceLen;
-    matrix.timeCompress = spec.timeCompress;
-    matrix.sibylCfg = spec.sibylCfg;
-
-    sim::ParallelConfig pcfg;
-    pcfg.numThreads = spec.numThreads;
-    sim::ParallelRunner runner(pcfg);
-    const auto records = runner.runMatrix(matrix);
+    const auto records = scenario::runScenario(spec);
     // A failed run would print as 0.000; fail the bench instead.
     std::size_t failures = 0;
     for (const auto &rec : records) {
@@ -117,14 +100,13 @@ runLineup(const LineupSpec &spec)
     if (failures)
         fatal(std::to_string(failures) + " run(s) failed");
 
-    // expand() nests config (outer), workload, policy, seed (inner).
     const std::size_t nPolicies = spec.policies.size();
     const std::size_t nWorkloads = spec.workloads.size();
-    const std::size_t nSeeds = matrix.seeds.size();
+    const std::size_t nSeeds = spec.seeds.size();
     const bool multiSeed = nSeeds > 1;
-    for (std::size_t ci = 0; ci < spec.configs.size(); ci++) {
-        std::printf("\n[%s]  metric: %s%s\n", spec.configs[ci].c_str(),
-                    metricName(spec.metric),
+    for (std::size_t ci = 0; ci < spec.hssConfigs.size(); ci++) {
+        std::printf("\n[%s]  metric: %s%s\n",
+                    spec.hssConfigs[ci].c_str(), metricName(metric),
                     multiSeed ? "  (mean±95% CI over seeds)" : "");
         TextTable tab;
         std::vector<std::string> header = {"workload"};
@@ -137,12 +119,11 @@ runLineup(const LineupSpec &spec)
         for (std::size_t wi = 0; wi < nWorkloads; wi++) {
             std::vector<std::string> row = {spec.workloads[wi]};
             for (std::size_t pi = 0; pi < nPolicies; pi++) {
-                for (std::size_t si = 0; si < nSeeds; si++) {
-                    const auto &rec =
-                        records[((ci * nWorkloads + wi) * nPolicies +
-                                 pi) * nSeeds + si];
-                    seedVals[si] = metricValue(spec.metric, rec.result);
-                }
+                for (std::size_t si = 0; si < nSeeds; si++)
+                    seedVals[si] = metricValue(
+                        metric,
+                        records[recordIndex(spec, ci, wi, pi, si)]
+                            .result);
                 double mean = 0.0;
                 for (double v : seedVals)
                     mean += v;
@@ -167,14 +148,14 @@ runLineup(const LineupSpec &spec)
     }
     std::printf("\n");
 
-    if (!spec.jsonPath.empty()) {
+    if (!jsonPath.empty()) {
         sim::ResultsAnnotations notes;
-        notes.campaign = spec.benchName;
-        if (sim::writeResultsJsonFile(spec.jsonPath, records, notes))
-            std::printf("wrote %s\n", spec.jsonPath.c_str());
+        notes.campaign = spec.name;
+        if (sim::writeResultsJsonFile(jsonPath, records, notes))
+            std::printf("wrote %s\n", jsonPath.c_str());
         else
             std::printf("WARNING: could not write %s\n",
-                        spec.jsonPath.c_str());
+                        jsonPath.c_str());
     }
 }
 

@@ -31,46 +31,6 @@ enum class Metric
     FastPreference,      ///< fast placements / all placements (Fig. 17)
 };
 
-/** One bench's experiment grid. */
-struct LineupSpec
-{
-    std::string title;                  ///< figure/table identification
-    std::vector<std::string> policies;  ///< columns
-    std::vector<std::string> workloads; ///< rows (or mixes if `mixed`)
-    std::vector<std::string> configs;   ///< HSS configs, one table each
-    double fastFrac = 0.10;
-    std::size_t traceLen = 0;           ///< 0 = default length
-
-    /** Divide all inter-arrival gaps by this factor. 1 = replay at the
-     *  trace's own pace; large values make the run device-bound (used
-     *  by throughput figures, whose closed-loop replay saturates the
-     *  system rather than honoring host think time). */
-    double timeCompress = 1.0;
-    Metric metric = Metric::NormalizedLatency;
-    bool mixed = false;                 ///< workloads are mix names
-    core::SibylConfig sibylCfg;         ///< hyper-parameters for Sibyl
-
-    /** Experiment seeds. With more than one, every table cell becomes
-     *  the across-seed mean with a 95% confidence half-width
-     *  ("m±c"), and the AVG row aggregates the per-seed means. */
-    std::vector<std::uint64_t> seeds = {42};
-
-    /** Worker threads for the grid (0 = SIBYL_THREADS env override,
-     *  else hardware concurrency; 1 = the serial oracle path). */
-    unsigned numThreads = 0;
-
-    /** When non-empty, also emit the full machine-readable result set
-     *  (sim::writeResultsJsonFile) to this path. */
-    std::string jsonPath;
-
-    /** Result-set identity for the JSON dump: emitted as the
-     *  top-level "campaign" field (the merged-results path the
-     *  campaign layer and sibyl_regress share), so one bench's
-     *  BENCH_*.json can be gated across PRs exactly like a campaign.
-     *  Empty keeps the legacy unannotated output byte-identical. */
-    std::string benchName;
-};
-
 /** Extract the configured metric from a result. */
 double metricValue(Metric metric, const sim::PolicyResult &r);
 
@@ -85,13 +45,21 @@ double confidenceHalfWidth95(const std::vector<double> &samples);
 const char *metricName(Metric metric);
 
 /**
- * Run the full grid — sharded across cores by sim::ParallelRunner, with
- * per-run RNG streams derived from stable run keys so the output is
- * independent of thread count — and print one table per HSS
- * configuration, with an AVG row (arithmetic mean over workloads, as
- * the paper reports).
+ * Run the full grid of @p spec — sharded across spec.numThreads
+ * workers by sim::ParallelRunner, with per-run RNG streams derived
+ * from stable run keys so the output is independent of thread count —
+ * and print, under the banner @p title, one @p metric table per HSS
+ * configuration with an AVG row (arithmetic mean over workloads, as
+ * the paper reports). With more than one seed every cell is the
+ * across-seed mean with a 95% confidence half-width ("m±c"). Exits
+ * with a diagnostic if any run failed. When @p jsonPath is non-empty
+ * the full result set also goes there (sim::writeResultsJsonFile),
+ * with spec.name as its top-level "campaign" field, so one bench's
+ * BENCH_*.json can be gated across changes like a campaign.
  */
-void runLineup(const LineupSpec &spec);
+void runLineup(const scenario::ScenarioSpec &spec, const std::string &title,
+               Metric metric = Metric::NormalizedLatency,
+               const std::string &jsonPath = "");
 
 /** Print the standard bench banner. */
 void banner(const std::string &title);
@@ -99,15 +67,16 @@ void banner(const std::string &title);
 /**
  * Request-count override for CI smoke runs: returns the value of the
  * SIBYL_BENCH_REQUESTS environment variable when set (and > 0), else
- * @p dflt. Every migrated bench threads this into its scenario's
- * traceLen, so `SIBYL_BENCH_REQUESTS=300 bench_x` finishes in seconds.
+ * @p dflt. Every scenario-built bench threads this into its
+ * scenario's traceLen, so `SIBYL_BENCH_REQUESTS=300 bench_x` finishes
+ * in seconds.
  */
 std::size_t requestOverride(std::size_t dflt = 0);
 
 /**
  * Row index of (config ci, workload wi, policy pi, seed si) in the
- * records returned for @p s — the ScenarioSpec/ExperimentMatrix
- * nesting order (hssConfig outermost, seed innermost).
+ * records returned for @p s — ScenarioSpec::expand()'s nesting order
+ * (hssConfig outermost, seed innermost).
  */
 std::size_t recordIndex(const scenario::ScenarioSpec &s, std::size_t ci,
                         std::size_t wi, std::size_t pi,

@@ -13,14 +13,12 @@ using namespace sibyl;
 int
 main()
 {
-    bench::LineupSpec spec;
-    spec.title = "Fig. 10: request throughput (IOPS) across the 14 MSRC "
-                 "workloads (normalized to Fast-Only)";
+    scenario::ScenarioSpec spec;
+    spec.name = "fig10_throughput";
     spec.policies = sim::standardPolicyLineup();
     for (const auto &p : trace::msrcProfiles())
         spec.workloads.push_back(p.name);
-    spec.configs = {"H&M", "H&L"};
-    spec.metric = bench::Metric::NormalizedIops;
+    spec.hssConfigs = {"H&M", "H&L"};
     // The paper's replayer drives the system closed-loop (throughput is
     // limited by the devices, not by the recorded host think time);
     // compress inter-arrival gaps so the H&M devices are the
@@ -29,8 +27,9 @@ main()
     // Mirror fig9: across-seed mean±95% CI cells, smoke-shrinkable.
     spec.seeds = {42, 43, 44};
     spec.traceLen = bench::requestOverride();
-    spec.jsonPath = "BENCH_fig10.json";
-    spec.benchName = "fig10_throughput";
-    bench::runLineup(spec);
+    bench::runLineup(spec,
+                     "Fig. 10: request throughput (IOPS) across the 14 "
+                     "MSRC workloads (normalized to Fast-Only)",
+                     bench::Metric::NormalizedIops, "BENCH_fig10.json");
     return 0;
 }

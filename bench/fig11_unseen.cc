@@ -13,13 +13,15 @@ using namespace sibyl;
 int
 main()
 {
-    bench::LineupSpec spec;
-    spec.title = "Fig. 11: average request latency on unseen FileBench "
-                 "workloads (normalized to Fast-Only)";
+    scenario::ScenarioSpec spec;
+    spec.name = "fig11_unseen";
     spec.policies = {"Slow-Only", "Archivist", "RNN-HSS", "Sibyl",
                      "Oracle"};
     spec.workloads = {"fileserver", "ntrx_rw", "oltp_rw", "varmail"};
-    spec.configs = {"H&M", "H&L"};
-    bench::runLineup(spec);
+    spec.hssConfigs = {"H&M", "H&L"};
+    spec.traceLen = bench::requestOverride();
+    bench::runLineup(spec,
+                     "Fig. 11: average request latency on unseen "
+                     "FileBench workloads (normalized to Fast-Only)");
     return 0;
 }

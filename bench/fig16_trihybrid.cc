@@ -17,15 +17,17 @@ using namespace sibyl;
 int
 main()
 {
-    bench::LineupSpec spec;
-    spec.title = "Fig. 16: tri-hybrid HSS — heuristic [76] vs Sibyl "
-                 "(normalized avg request latency)";
+    scenario::ScenarioSpec spec;
+    spec.name = "fig16_trihybrid";
     spec.policies = {"Heuristic-Tri-Hybrid", "Sibyl"};
     for (const auto &p : trace::msrcProfiles())
         spec.workloads.push_back(p.name);
-    spec.configs = {"H&M&L", "H&M&L_SSD"};
-    spec.fastFrac = 0.05;
-    bench::runLineup(spec);
+    spec.hssConfigs = {"H&M&L", "H&M&L_SSD"};
+    spec.fastCapacityFrac = 0.05;
+    spec.traceLen = bench::requestOverride();
+    bench::runLineup(spec,
+                     "Fig. 16: tri-hybrid HSS — heuristic [76] vs Sibyl "
+                     "(normalized avg request latency)");
 
     std::printf("Paper reference: Sibyl outperforms the heuristic by "
                 "23.9%%-48.2%% on average across the two tri-HSS\n"

@@ -16,16 +16,17 @@ using namespace sibyl;
 int
 main()
 {
-    bench::LineupSpec spec;
-    spec.title = "Fig. 17: Sibyl's preference for the fast storage "
-                 "device (#fast / #all placements)";
+    scenario::ScenarioSpec spec;
+    spec.name = "fig17_preference";
     spec.policies = {"Sibyl"};
     for (const auto &p : trace::msrcProfiles())
         spec.workloads.push_back(p.name);
-    spec.configs = {"H&M", "H&L"};
-    spec.metric = bench::Metric::FastPreference;
+    spec.hssConfigs = {"H&M", "H&L"};
     spec.traceLen = bench::requestOverride();
-    bench::runLineup(spec);
+    bench::runLineup(spec,
+                     "Fig. 17: Sibyl's preference for the fast storage "
+                     "device (#fast / #all placements)",
+                     bench::Metric::FastPreference);
 
     std::printf("Paper reference: preference is higher in H&L than in "
                 "H&M for most workloads — with a huge latency gap,\n"

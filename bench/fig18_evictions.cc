@@ -14,14 +14,16 @@ using namespace sibyl;
 int
 main()
 {
-    bench::LineupSpec spec;
-    spec.title = "Fig. 18: evictions from fast storage as a fraction of "
-                 "all requests";
+    scenario::ScenarioSpec spec;
+    spec.name = "fig18_evictions";
     spec.policies = {"CDE", "HPS", "Archivist", "RNN-HSS", "Sibyl"};
     for (const auto &p : trace::msrcProfiles())
         spec.workloads.push_back(p.name);
-    spec.configs = {"H&M", "H&L"};
-    spec.metric = bench::Metric::EvictionFraction;
-    bench::runLineup(spec);
+    spec.hssConfigs = {"H&M", "H&L"};
+    spec.traceLen = bench::requestOverride();
+    bench::runLineup(spec,
+                     "Fig. 18: evictions from fast storage as a fraction "
+                     "of all requests",
+                     bench::Metric::EvictionFraction);
     return 0;
 }

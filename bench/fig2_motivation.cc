@@ -14,13 +14,16 @@ using namespace sibyl;
 int
 main()
 {
-    bench::LineupSpec spec;
-    spec.title = "Fig. 2: baseline policies vs Oracle on the motivation "
-                 "workloads (normalized avg request latency)";
+    scenario::ScenarioSpec spec;
+    spec.name = "fig2_motivation";
     spec.policies = {"Slow-Only", "CDE", "HPS", "Archivist", "RNN-HSS",
                      "Oracle"};
     spec.workloads = trace::motivationWorkloads();
-    spec.configs = {"H&M", "H&L"};
-    bench::runLineup(spec);
+    spec.hssConfigs = {"H&M", "H&L"};
+    spec.traceLen = bench::requestOverride();
+    bench::runLineup(spec,
+                     "Fig. 2: baseline policies vs Oracle on the "
+                     "motivation workloads (normalized avg request "
+                     "latency)");
     return 0;
 }

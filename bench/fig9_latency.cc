@@ -19,20 +19,20 @@ using namespace sibyl;
 int
 main()
 {
-    bench::LineupSpec spec;
-    spec.title = "Fig. 9: average request latency across the 14 MSRC "
-                 "workloads (normalized to Fast-Only)";
+    scenario::ScenarioSpec spec;
+    spec.name = "fig9_latency";
     spec.policies = sim::standardPolicyLineup();
     for (const auto &p : trace::msrcProfiles())
         spec.workloads.push_back(p.name);
-    spec.configs = {"H&M", "H&L"};
+    spec.hssConfigs = {"H&M", "H&L"};
     // Three seeds turn every cell into mean±95% CI (the paper's error
     // bars); SIBYL_BENCH_REQUESTS shrinks the 3x cost to a CI smoke.
     spec.seeds = {42, 43, 44};
     spec.traceLen = bench::requestOverride();
-    spec.jsonPath = "BENCH_fig9.json";
-    spec.benchName = "fig9_latency";
-    bench::runLineup(spec);
+    bench::runLineup(spec,
+                     "Fig. 9: average request latency across the 14 "
+                     "MSRC workloads (normalized to Fast-Only)",
+                     bench::Metric::NormalizedLatency, "BENCH_fig9.json");
 
     std::printf("Paper reference (shape, not absolute): Sibyl beats the "
                 "best prior baseline by ~21.6%% (H&M) / ~19.9%% (H&L)\n"

@@ -10,21 +10,6 @@ namespace sibyl::ml
 {
 
 float
-mseLoss(const Vector &pred, const Vector &target, Vector &grad)
-{
-    assert(pred.size() == target.size());
-    grad.resize(pred.size());
-    float loss = 0.0f;
-    float n = static_cast<float>(pred.size());
-    for (std::size_t i = 0; i < pred.size(); i++) {
-        float d = pred[i] - target[i];
-        loss += d * d;
-        grad[i] = 2.0f * d / n;
-    }
-    return loss / n;
-}
-
-float
 softmaxCrossEntropy(const Vector &logits, const Vector &target,
                     Vector &gradLogits)
 {

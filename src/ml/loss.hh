@@ -15,12 +15,6 @@ namespace sibyl::ml
 {
 
 /**
- * Mean-squared error. Returns the loss and fills @p grad with
- * dL/d pred (same size as pred).
- */
-float mseLoss(const Vector &pred, const Vector &target, Vector &grad);
-
-/**
  * Softmax cross-entropy with a soft target distribution, evaluated on raw
  * logits. Returns the loss and fills @p gradLogits with the well-known
  * closed-form gradient softmax(logits) - target.

@@ -17,23 +17,6 @@
 namespace sibyl::scenario
 {
 
-bool
-CampaignEntry::operator==(const CampaignEntry &o) const
-{
-    return file == o.file && tag == o.tag && requests == o.requests &&
-           seeds == o.seeds;
-}
-
-bool
-CampaignSpec::operator==(const CampaignSpec &o) const
-{
-    // baseDir is load-time context (where the manifest sat on disk),
-    // not manifest content — parse(emit(c)) == c must hold for a spec
-    // that was loaded from any directory.
-    return name == o.name && entries == o.entries &&
-           numThreads == o.numThreads;
-}
-
 namespace
 {
 
@@ -96,7 +79,7 @@ parseCampaignJson(const std::string &text)
                 c.entries.push_back(parseEntry(e));
             sawEntries = true;
         } else if (key == "numThreads") {
-            c.numThreads = static_cast<unsigned>(v.asUint());
+            c.numThreads = jsonUint32(v, "numThreads");
         } else {
             manifestError("unknown key \"" + key +
                           "\" (valid: name scenarios numThreads)");
@@ -105,32 +88,6 @@ parseCampaignJson(const std::string &text)
     if (!sawEntries || c.entries.empty())
         manifestError("\"scenarios\" must name at least one file");
     return c;
-}
-
-std::string
-emitCampaignJson(const CampaignSpec &c)
-{
-    JsonValue doc = JsonValue::object();
-    doc.set("name", JsonValue::of(c.name));
-    JsonValue entries = JsonValue::array();
-    for (const auto &e : c.entries) {
-        JsonValue o = JsonValue::object();
-        o.set("file", JsonValue::of(e.file));
-        if (!e.tag.empty())
-            o.set("tag", JsonValue::of(e.tag));
-        if (e.requests != 0)
-            o.set("requests", JsonValue::of(std::uint64_t{e.requests}));
-        if (!e.seeds.empty()) {
-            JsonValue seeds = JsonValue::array();
-            for (auto s : e.seeds)
-                seeds.push(JsonValue::of(s));
-            o.set("seeds", seeds);
-        }
-        entries.push(o);
-    }
-    doc.set("scenarios", entries);
-    doc.set("numThreads", JsonValue::of(std::uint64_t{c.numThreads}));
-    return doc.dump();
 }
 
 CampaignSpec
@@ -211,24 +168,6 @@ CampaignResult::resumedCount() const
     for (const bool r : resumed)
         n += r ? 1 : 0;
     return n;
-}
-
-CampaignResult
-runCampaign(const CampaignSpec &spec, sim::ParallelRunner &runner)
-{
-    CampaignResult result;
-    result.plan = lowerCampaign(spec);
-    result.records = runner.runAll(result.plan.specs);
-    return result;
-}
-
-CampaignResult
-runCampaign(const CampaignSpec &spec)
-{
-    sim::ParallelConfig cfg;
-    cfg.numThreads = spec.numThreads;
-    sim::ParallelRunner runner(cfg);
-    return runCampaign(spec, runner);
 }
 
 // ---------------------------------------------------------------------
@@ -342,11 +281,12 @@ CampaignResult
 runCampaign(const CampaignSpec &spec, sim::ParallelRunner &runner,
             const CampaignCheckpoint &ckpt)
 {
-    if (ckpt.dir.empty())
-        return runCampaign(spec, runner);
-
     CampaignResult result;
     result.plan = lowerCampaign(spec);
+    if (ckpt.dir.empty()) {
+        result.records = runner.runAll(result.plan.specs);
+        return result;
+    }
     const std::size_t n = result.plan.specs.size();
     makeDirs(ckpt.dir);
 

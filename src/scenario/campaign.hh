@@ -53,8 +53,6 @@ struct CampaignEntry
 
     /** Seeds override (empty = keep the file's). */
     std::vector<std::uint64_t> seeds;
-
-    bool operator==(const CampaignEntry &o) const;
 };
 
 /** A campaign manifest (see file header). */
@@ -72,18 +70,14 @@ struct CampaignSpec
     unsigned numThreads = 0;
 
     /** Directory scenario paths resolve against; set by
-     *  loadCampaignFile, not serialized (== ignores it). */
+     *  loadCampaignFile, not a manifest key. */
     std::string baseDir;
-
-    bool operator==(const CampaignSpec &o) const;
 };
 
-/** Parse a campaign JSON manifest. Unknown keys, ill-typed values, and
- *  malformed JSON throw std::invalid_argument with a diagnostic. */
+/** Parse a campaign JSON manifest. Unknown keys, ill-typed or
+ *  out-of-range values, and malformed JSON throw
+ *  std::invalid_argument with a diagnostic. */
 CampaignSpec parseCampaignJson(const std::string &text);
-
-/** Serialize; parse(emit(c)) == c, and emit is byte-deterministic. */
-std::string emitCampaignJson(const CampaignSpec &spec);
 
 /** Parse the manifest at @p path; sets baseDir to its directory so
  *  relative scenario paths resolve next to the manifest. */
@@ -125,12 +119,12 @@ struct CampaignResult
 
     /**
      * Exact `sim::writeRecordJson` bytes per run, in plan order.
-     * Populated by the checkpointed runCampaign overload: fresh runs
+     * Populated by runCampaign when it checkpoints: fresh runs
      * store the bytes they journal, resumed runs splice the bytes read
      * back from the journal, and writeCampaignResultsJson assembles
      * the merged document from these — which is what makes a resumed
      * merge byte-identical to an uninterrupted one *by construction*,
-     * not by re-simulation. Empty on the non-checkpointed path (the
+     * not by re-simulation. Empty without a checkpoint directory (the
      * merge then serializes `records` directly).
      */
     std::vector<std::string> recordJson;
@@ -165,17 +159,11 @@ struct CampaignCheckpoint
     bool resume = false;
 };
 
-/** lowerCampaign + one runner.runAll over the whole batch. */
-CampaignResult runCampaign(const CampaignSpec &spec,
-                           sim::ParallelRunner &runner);
-
-/** Run with a fresh runner configured from spec.numThreads. */
-CampaignResult runCampaign(const CampaignSpec &spec);
-
 /**
- * Checkpointed run (see CampaignCheckpoint): journals each run as it
- * settles and, on resume, runs only the specs without a valid journal
- * entry. The merged writeCampaignResultsJson output is byte-identical
+ * lowerCampaign + one runner.runAll over the whole batch. With a
+ * checkpoint directory (see CampaignCheckpoint) it journals each run
+ * as it settles and, on resume, runs only the specs without a valid
+ * journal entry. The merged writeCampaignResultsJson output is byte-identical
  * whether the campaign ran uninterrupted, was killed and resumed, or
  * was resumed with every run already journaled. Throws
  * std::invalid_argument when the journal directory cannot be created.

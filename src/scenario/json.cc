@@ -224,6 +224,17 @@ JsonValue::find(const std::string &key) const
     return nullptr;
 }
 
+std::uint32_t
+jsonUint32(const JsonValue &v, const std::string &key)
+{
+    const std::uint64_t u = v.asUint();
+    if (u > 0xFFFFFFFFULL)
+        throw std::invalid_argument("json: \"" + key + "\" = " +
+                                    std::to_string(u) +
+                                    " exceeds 4294967295");
+    return static_cast<std::uint32_t>(u);
+}
+
 std::string
 jsonQuote(const std::string &s)
 {
@@ -267,72 +278,6 @@ jsonNumber(double v)
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
-}
-
-void
-JsonValue::dumpTo(std::string &out, int indent) const
-{
-    const std::string pad(2 * static_cast<std::size_t>(indent), ' ');
-    const std::string padIn(2 * static_cast<std::size_t>(indent + 1), ' ');
-    switch (kind_) {
-      case Kind::Null:
-        out += "null";
-        break;
-      case Kind::Bool:
-        out += bool_ ? "true" : "false";
-        break;
-      case Kind::Number:
-        if (integral_) {
-            if (negative_ && mag_ != 0)
-                out += '-';
-            out += std::to_string(mag_);
-        } else {
-            out += jsonNumber(num_);
-        }
-        break;
-      case Kind::String:
-        out += jsonQuote(str_);
-        break;
-      case Kind::Array:
-        if (arr_.empty()) {
-            out += "[]";
-            break;
-        }
-        out += "[\n";
-        for (std::size_t i = 0; i < arr_.size(); i++) {
-            out += padIn;
-            arr_[i].dumpTo(out, indent + 1);
-            out += i + 1 < arr_.size() ? ",\n" : "\n";
-        }
-        out += pad;
-        out += ']';
-        break;
-      case Kind::Object:
-        if (obj_.empty()) {
-            out += "{}";
-            break;
-        }
-        out += "{\n";
-        for (std::size_t i = 0; i < obj_.size(); i++) {
-            out += padIn;
-            out += jsonQuote(obj_[i].first);
-            out += ": ";
-            obj_[i].second.dumpTo(out, indent + 1);
-            out += i + 1 < obj_.size() ? ",\n" : "\n";
-        }
-        out += pad;
-        out += '}';
-        break;
-    }
-}
-
-std::string
-JsonValue::dump() const
-{
-    std::string out;
-    dumpTo(out, 0);
-    out += '\n';
-    return out;
 }
 
 // ---------------------------------------------------------------------
@@ -522,8 +467,8 @@ class Parser
         }
         const double d = std::strtod(lit.c_str(), &end);
         // ERANGE covers both overflow and subnormal underflow;
-        // subnormals are perfectly representable (dump() emits them),
-        // so only overflow to +-inf is an error.
+        // subnormals are perfectly representable (jsonNumber() prints
+        // them), so only overflow to +-inf is an error.
         if (end != lit.c_str() + lit.size() || d != d ||
             d > 1.7976931348623157e308 || d < -1.7976931348623157e308)
             fail("malformed or out-of-range number \"" + lit + "\"");

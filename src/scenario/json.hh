@@ -3,13 +3,14 @@
  * Minimal self-contained JSON document model for the scenario layer.
  *
  * The repository takes no third-party dependencies, so the scenario
- * files (`ScenarioSpec` serialization) are read and written through
- * this small recursive-descent parser / pretty-printer. It supports
- * the full JSON value grammar with two deliberate restrictions that
- * match the scenario format: numbers are stored as `double` plus an
- * exact `int64` when the literal was integral (seeds and request
- * counts survive untouched), and object keys keep *insertion order*
- * so emit(parse(x)) is stable.
+ * files, campaign manifests and results documents are read through
+ * this small recursive-descent parser. It supports the full JSON
+ * value grammar with two deliberate restrictions that match the
+ * scenario format: numbers are stored as `double` plus an exact
+ * 64-bit magnitude and sign when the literal was integral (seeds and
+ * request counts survive untouched), and object keys keep *insertion
+ * order*, so diagnostics and the regression gate walk documents in
+ * file order.
  */
 
 #pragma once
@@ -80,10 +81,6 @@ class JsonValue
     /** Object lookup; nullptr when absent (or not an object). */
     const JsonValue *find(const std::string &key) const;
 
-    /** Serialize with 2-space indentation and %.17g doubles, so two
-     *  equal documents print byte-identically. */
-    std::string dump() const;
-
   private:
     Kind kind_ = Kind::Null;
     bool bool_ = false;
@@ -99,13 +96,16 @@ class JsonValue
     std::string str_;
     std::vector<JsonValue> arr_;
     std::vector<std::pair<std::string, JsonValue>> obj_;
-
-    void dumpTo(std::string &out, int indent) const;
 };
 
+/** @p v.asUint() for a 32-bit field: a larger value throws
+ *  std::invalid_argument naming @p key instead of wrapping, so an
+ *  input "device": 4294967297 never reads as device 1. */
+std::uint32_t jsonUint32(const JsonValue &v, const std::string &key);
+
 /** Escape @p s as a quoted JSON string literal — the one escaping
- *  rule shared by the scenario serializer and sim::writeResultsJson,
- *  so the two cannot drift. */
+ *  rule of every JSON document the library writes (results files and
+ *  campaign merges). */
 std::string jsonQuote(const std::string &s);
 
 /** Format @p v with %.17g (the byte-determinism contract: equal

@@ -1,6 +1,5 @@
 #include "scenario/scenario_spec.hh"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "scenario/json.hh"
@@ -34,49 +33,8 @@ DeviceOverride::faultConfig() const
     return fc;
 }
 
-bool
-DeviceOverride::operator==(const DeviceOverride &o) const
-{
-    if (device != o.device || channels != o.channels ||
-        detailedFtl != o.detailedFtl ||
-        ftlPagesPerBlock != o.ftlPagesPerBlock ||
-        ftlRatedPeCycles != o.ftlRatedPeCycles ||
-        ftlGrownBadProb != o.ftlGrownBadProb ||
-        ftlWearLevelSpread != o.ftlWearLevelSpread ||
-        faultWindows.size() != o.faultWindows.size())
-        return false;
-    for (std::size_t i = 0; i < faultWindows.size(); i++) {
-        const auto &a = faultWindows[i];
-        const auto &b = o.faultWindows[i];
-        if (a.startUs != b.startUs || a.endUs != b.endUs ||
-            a.latencyMultiplier != b.latencyMultiplier)
-            return false;
-    }
-    return offlineWindows == o.offlineWindows &&
-           failAtUs == o.failAtUs &&
-           drainPagesPerMs == o.drainPagesPerMs &&
-           failoverTimeoutUs == o.failoverTimeoutUs &&
-           failOnUnrecoverable == o.failOnUnrecoverable;
-}
-
-bool
-ScenarioSpec::operator==(const ScenarioSpec &o) const
-{
-    return name == o.name && policies == o.policies &&
-           workloads == o.workloads && fleetTenants == o.fleetTenants &&
-           hssConfigs == o.hssConfigs &&
-           seeds == o.seeds && mixedWorkloads == o.mixedWorkloads &&
-           fastCapacityFrac == o.fastCapacityFrac &&
-           traceLen == o.traceLen && traceSeed == o.traceSeed &&
-           timeCompress == o.timeCompress && queueDepth == o.queueDepth &&
-           recordPerRequest == o.recordPerRequest &&
-           sibylParams == o.sibylParams &&
-           deviceOverrides == o.deviceOverrides &&
-           numThreads == o.numThreads;
-}
-
-sim::ExperimentMatrix
-ScenarioSpec::toMatrix() const
+std::vector<sim::RunSpec>
+ScenarioSpec::expand() const
 {
     // Values <= 1 would be silently ignored by the trace cache (its
     // documented contract: compression never stretches); reject them
@@ -85,6 +43,12 @@ ScenarioSpec::toMatrix() const
         throw std::invalid_argument(
             "scenario \"" + name + "\": timeCompress must be >= 1 "
             "(gaps are divided by it; it cannot stretch a trace)");
+    // The simulator clamps a zero depth to 1, but the run key records
+    // the 0: the same system would draw different RNG streams.
+    if (queueDepth == 0)
+        throw std::invalid_argument(
+            "scenario \"" + name + "\": queueDepth must be >= 1 "
+            "(0 would run as 1 under a different run key)");
     // The parallel runner derives every run's agent seed from the run
     // key, so a base-config seed would be silently discarded — the
     // two working spellings are the experiment-level seeds array and
@@ -97,41 +61,34 @@ ScenarioSpec::toMatrix() const
             "the \"seeds\" array, or pin one policy's agent seed "
             "with a Sibyl{seed=N} descriptor");
 
-    sim::ExperimentMatrix m;
-    m.policies = policies;
-    m.workloads = workloads;
-    m.hssConfigs = hssConfigs;
-    m.seeds = seeds;
-    m.mixedWorkloads = mixedWorkloads;
-    m.fastCapacityFrac = fastCapacityFrac;
-    m.traceLen = traceLen;
-    m.traceSeed = traceSeed;
-    m.timeCompress = timeCompress;
-    m.sim.queueDepth = queueDepth;
-    m.sim.recordPerRequest = recordPerRequest;
+    // The cell every run starts from: all fields the scenario sets
+    // alike for each (hssConfig, workload, policy, seed).
+    sim::RunSpec cell;
+    // Fleet tenants carry their own mixedWorkload.
+    cell.mixedWorkload = mixedWorkloads && fleetTenants.empty();
+    cell.fastCapacityFrac = fastCapacityFrac;
+    cell.traceLen = traceLen;
+    cell.traceSeed = traceSeed;
+    cell.timeCompress = timeCompress;
+    cell.sim.queueDepth = queueDepth;
+    cell.sim.recordPerRequest = recordPerRequest;
     if (!sibylParams.empty()) {
         PolicyDesc base;
         base.name = "sibylParams";
         base.raw = "scenario \"" + name + "\" sibylParams";
         for (const auto &[k, v] : sibylParams)
             base.params.emplace_back(k, v);
-        applySibylParams(m.sibylCfg, base);
+        applySibylParams(cell.sibylCfg, base);
     }
-    return m;
-}
 
-std::vector<sim::RunSpec>
-ScenarioSpec::expand() const
-{
     // Build every descriptor once per device stack, so an unknown
     // policy name or parameter fails here with the factory's
     // diagnostic (it lists the valid names) instead of as a failed run.
     const auto &factory = PolicyFactory::instance();
-    const sim::ExperimentMatrix m = toMatrix();
     auto validatePolicy = [&](const std::string &p) {
         for (const auto &cfg : hssConfigs)
             factory.make(p, sim::numHssDevices(cfg, fastCapacityFrac),
-                         m.sibylCfg);
+                         cell.sibylCfg);
     };
     for (const auto &p : policies)
         validatePolicy(p);
@@ -168,41 +125,6 @@ ScenarioSpec::expand() const
                 std::to_string(ov.device) + ": " + err);
     }
 
-    std::vector<sim::RunSpec> specs;
-    if (!fleetTenants.empty()) {
-        // Fleet lowering: one run per (hssConfig, seed) cell hosting
-        // every tenant, nested in the same (hssConfig outer, seed
-        // inner) order the matrix form uses. toMatrix() still supplies
-        // the shared sim knobs / SibylConfig and its validations.
-        auto fleet = std::make_shared<sim::FleetSpec>();
-        fleet->tenants = fleetTenants;
-        std::string fleetWorkload = "fleet:";
-        for (std::size_t i = 0; i < fleetTenants.size(); i++) {
-            if (i)
-                fleetWorkload += '+';
-            fleetWorkload += fleetTenants[i].workload;
-        }
-        specs.reserve(hssConfigs.size() * seeds.size());
-        for (const auto &cfgName : hssConfigs) {
-            for (std::uint64_t sd : seeds) {
-                sim::RunSpec s;
-                s.policy = "Fleet";
-                s.workload = fleetWorkload;
-                s.hssConfig = cfgName;
-                s.fastCapacityFrac = fastCapacityFrac;
-                s.traceLen = traceLen;
-                s.traceSeed = traceSeed;
-                s.timeCompress = timeCompress;
-                s.seed = sd;
-                s.sim = m.sim;
-                s.sibylCfg = m.sibylCfg;
-                s.fleet = fleet;
-                specs.push_back(std::move(s));
-            }
-        }
-    } else {
-        specs = m.expand();
-    }
     if (!deviceOverrides.empty()) {
         // The overrides influence simulation dynamics, so their
         // canonical form rides in RunSpec::variantTag and becomes
@@ -247,10 +169,11 @@ ScenarioSpec::expand() const
                        std::to_string(ov.failOnUnrecoverable != 0);
             tag += ';';
         }
-        const std::vector<DeviceOverride> overrides = deviceOverrides;
-        auto tweak = [overrides](std::vector<device::DeviceSpec> &specs_) {
+        cell.variantTag = std::move(tag);
+        cell.specTweak = [overrides = deviceOverrides](
+                             std::vector<device::DeviceSpec> &devices) {
             for (const auto &ov : overrides) {
-                auto &d = specs_.at(ov.device);
+                auto &d = devices.at(ov.device);
                 if (ov.channels != 0)
                     d.channels = ov.channels;
                 if (ov.detailedFtl >= 0)
@@ -266,9 +189,43 @@ ScenarioSpec::expand() const
                 ov.applyFaults(d.faults);
             }
         };
-        for (auto &s : specs) {
-            s.specTweak = tweak;
-            s.variantTag = tag;
+    }
+
+    // A fleet cell hosts every tenant in one run: it has one display
+    // policy and workload instead of the policies x workloads
+    // cross-product.
+    const bool fleet = !fleetTenants.empty();
+    if (fleet) {
+        auto spec = std::make_shared<sim::FleetSpec>();
+        spec->tenants = fleetTenants;
+        cell.policy = "Fleet";
+        cell.workload = "fleet:";
+        for (std::size_t i = 0; i < fleetTenants.size(); i++) {
+            if (i)
+                cell.workload += '+';
+            cell.workload += fleetTenants[i].workload;
+        }
+        cell.fleet = std::move(spec);
+    }
+    const std::size_t nWorkloads = fleet ? 1 : workloads.size();
+    const std::size_t nPolicies = fleet ? 1 : policies.size();
+    std::vector<sim::RunSpec> specs;
+    specs.reserve(hssConfigs.size() * nWorkloads * nPolicies *
+                  seeds.size());
+    for (const auto &cfgName : hssConfigs) {
+        for (std::size_t wi = 0; wi < nWorkloads; wi++) {
+            for (std::size_t pi = 0; pi < nPolicies; pi++) {
+                for (std::uint64_t sd : seeds) {
+                    sim::RunSpec s = cell;
+                    s.hssConfig = cfgName;
+                    if (!fleet) {
+                        s.workload = workloads[wi];
+                        s.policy = policies[pi];
+                    }
+                    s.seed = sd;
+                    specs.push_back(std::move(s));
+                }
+            }
         }
     }
     return specs;
@@ -350,13 +307,13 @@ parseOverride(const JsonValue &v)
     DeviceOverride ov;
     for (const auto &[key, val] : v.asObject()) {
         if (key == "device") {
-            ov.device = static_cast<std::uint32_t>(val.asUint());
+            ov.device = jsonUint32(val, "device");
         } else if (key == "channels") {
-            ov.channels = static_cast<std::uint32_t>(val.asUint());
+            ov.channels = jsonUint32(val, "channels");
         } else if (key == "detailedFtl") {
             ov.detailedFtl = val.asBool() ? 1 : 0;
         } else if (key == "ftlPagesPerBlock") {
-            ov.ftlPagesPerBlock = static_cast<std::uint32_t>(val.asUint());
+            ov.ftlPagesPerBlock = jsonUint32(val, "ftlPagesPerBlock");
         } else if (key == "ftlRatedPeCycles") {
             ov.ftlRatedPeCycles = val.asUint();
         } else if (key == "ftlGrownBadProb") {
@@ -471,7 +428,7 @@ parseScenarioJson(const std::string &text)
         } else if (key == "timeCompress") {
             s.timeCompress = v.asDouble();
         } else if (key == "queueDepth") {
-            s.queueDepth = static_cast<std::uint32_t>(v.asUint());
+            s.queueDepth = jsonUint32(v, "queueDepth");
         } else if (key == "recordPerRequest") {
             s.recordPerRequest = v.asBool();
         } else if (key == "sibylParams") {
@@ -481,7 +438,7 @@ parseScenarioJson(const std::string &text)
             for (const auto &e : v.asArray())
                 s.deviceOverrides.push_back(parseOverride(e));
         } else if (key == "numThreads") {
-            s.numThreads = static_cast<unsigned>(v.asUint());
+            s.numThreads = jsonUint32(v, "numThreads");
         } else {
             specError("unknown key \"" + key +
                       "\" (valid: name policies workloads fleet "
@@ -511,116 +468,6 @@ parseScenarioJson(const std::string &text)
     return s;
 }
 
-std::string
-emitScenarioJson(const ScenarioSpec &s)
-{
-    JsonValue doc = JsonValue::object();
-    doc.set("name", JsonValue::of(s.name));
-
-    auto stringArray = [](const std::vector<std::string> &v) {
-        JsonValue a = JsonValue::array();
-        for (const auto &e : v)
-            a.push(JsonValue::of(e));
-        return a;
-    };
-    if (s.fleetTenants.empty()) {
-        doc.set("policies", stringArray(s.policies));
-        doc.set("workloads", stringArray(s.workloads));
-    } else {
-        JsonValue fleet = JsonValue::array();
-        for (const auto &t : s.fleetTenants) {
-            JsonValue tv = JsonValue::object();
-            tv.set("policy", JsonValue::of(t.policy));
-            tv.set("workload", JsonValue::of(t.workload));
-            tv.set("mixedWorkload", JsonValue::of(t.mixedWorkload));
-            tv.set("traceLen", JsonValue::of(std::uint64_t{t.traceLen}));
-            tv.set("traceSeed", JsonValue::of(t.traceSeed));
-            tv.set("timeCompress", JsonValue::of(t.timeCompress));
-            fleet.push(tv);
-        }
-        doc.set("fleet", fleet);
-    }
-    doc.set("hssConfigs", stringArray(s.hssConfigs));
-    JsonValue seeds = JsonValue::array();
-    for (auto sd : s.seeds)
-        seeds.push(JsonValue::of(sd));
-    doc.set("seeds", seeds);
-    doc.set("mixedWorkloads", JsonValue::of(s.mixedWorkloads));
-    doc.set("fastCapacityFrac", JsonValue::of(s.fastCapacityFrac));
-    doc.set("traceLen", JsonValue::of(std::uint64_t{s.traceLen}));
-    doc.set("traceSeed", JsonValue::of(s.traceSeed));
-    doc.set("timeCompress", JsonValue::of(s.timeCompress));
-    doc.set("queueDepth", JsonValue::of(std::uint64_t{s.queueDepth}));
-    doc.set("recordPerRequest", JsonValue::of(s.recordPerRequest));
-    if (!s.sibylParams.empty()) {
-        JsonValue params = JsonValue::object();
-        for (const auto &[k, v] : s.sibylParams)
-            params.set(k, JsonValue::of(v));
-        doc.set("sibylParams", params);
-    }
-    if (!s.deviceOverrides.empty()) {
-        JsonValue arr = JsonValue::array();
-        for (const auto &ov : s.deviceOverrides) {
-            JsonValue o = JsonValue::object();
-            o.set("device", JsonValue::of(std::uint64_t{ov.device}));
-            if (ov.channels != 0)
-                o.set("channels",
-                      JsonValue::of(std::uint64_t{ov.channels}));
-            if (ov.detailedFtl >= 0)
-                o.set("detailedFtl", JsonValue::of(ov.detailedFtl != 0));
-            if (ov.ftlPagesPerBlock != 0)
-                o.set("ftlPagesPerBlock",
-                      JsonValue::of(std::uint64_t{ov.ftlPagesPerBlock}));
-            if (ov.ftlRatedPeCycles != 0)
-                o.set("ftlRatedPeCycles",
-                      JsonValue::of(ov.ftlRatedPeCycles));
-            if (ov.ftlGrownBadProb >= 0.0)
-                o.set("ftlGrownBadProb",
-                      JsonValue::of(ov.ftlGrownBadProb));
-            if (ov.ftlWearLevelSpread != 0)
-                o.set("ftlWearLevelSpread",
-                      JsonValue::of(ov.ftlWearLevelSpread));
-            if (!ov.faultWindows.empty()) {
-                JsonValue wins = JsonValue::array();
-                for (const auto &w : ov.faultWindows) {
-                    JsonValue wv = JsonValue::object();
-                    wv.set("startUs", JsonValue::of(w.startUs));
-                    wv.set("endUs", JsonValue::of(w.endUs));
-                    wv.set("latencyMultiplier",
-                           JsonValue::of(w.latencyMultiplier));
-                    wins.push(wv);
-                }
-                o.set("faultWindows", wins);
-            }
-            if (!ov.offlineWindows.empty()) {
-                JsonValue wins = JsonValue::array();
-                for (const auto &w : ov.offlineWindows) {
-                    JsonValue wv = JsonValue::object();
-                    wv.set("startUs", JsonValue::of(w.startUs));
-                    wv.set("endUs", JsonValue::of(w.endUs));
-                    wins.push(wv);
-                }
-                o.set("offlineWindows", wins);
-            }
-            if (ov.failAtUs >= 0.0)
-                o.set("failAtUs", JsonValue::of(ov.failAtUs));
-            if (ov.drainPagesPerMs >= 0.0)
-                o.set("drainPagesPerMs",
-                      JsonValue::of(ov.drainPagesPerMs));
-            if (ov.failoverTimeoutUs >= 0.0)
-                o.set("failoverTimeoutUs",
-                      JsonValue::of(ov.failoverTimeoutUs));
-            if (ov.failOnUnrecoverable >= 0)
-                o.set("failOnUnrecoverable",
-                      JsonValue::of(ov.failOnUnrecoverable != 0));
-            arr.push(o);
-        }
-        doc.set("deviceOverrides", arr);
-    }
-    doc.set("numThreads", JsonValue::of(std::uint64_t{s.numThreads}));
-    return doc.dump();
-}
-
 ScenarioSpec
 loadScenarioFile(const std::string &path)
 {
@@ -632,18 +479,12 @@ loadScenarioFile(const std::string &path)
 }
 
 std::vector<sim::RunRecord>
-runScenario(const ScenarioSpec &spec, sim::ParallelRunner &runner)
-{
-    return runner.runAll(spec.expand());
-}
-
-std::vector<sim::RunRecord>
 runScenario(const ScenarioSpec &spec)
 {
     sim::ParallelConfig cfg;
     cfg.numThreads = spec.numThreads;
     sim::ParallelRunner runner(cfg);
-    return runScenario(spec, runner);
+    return runner.runAll(spec.expand());
 }
 
 } // namespace sibyl::scenario

@@ -1,20 +1,18 @@
 /**
  * @file
- * Declarative experiment descriptions: a ScenarioSpec is the full
- * cross-product of an evaluation — policy descriptors x workloads x
+ * Declarative experiment descriptions: a ScenarioSpec is the one
+ * description of an evaluation grid — policy descriptors x workloads x
  * HSS shorthands x seeds, plus trace shaping, simulation knobs, base
  * Sibyl hyper-parameter overrides, and declarative device overrides
- * (fault windows, channel counts, FTL selection). It parses from and
- * emits to JSON, so *any experiment in the repository is a file*: the
- * figure benches, the CLI's --scenario mode, and the golden-run tests
- * all lower the same structure onto sim::ParallelRunner.
+ * (fault windows, channel counts, FTL selection). It parses from JSON,
+ * so *any experiment in the repository is a file*: the figure benches,
+ * the CLI's --scenario mode, and the golden-run tests all lower the
+ * same structure onto sim::ParallelRunner.
  *
- * Lowering rule: expand() produces exactly the RunSpecs that
- * hand-written code building sim::ExperimentMatrix would produce —
- * same nesting order (hssConfig, workload, policy, seed), same run
- * keys, hence bit-identical results. The scenario layer adds zero
- * simulation semantics of its own; it is a serialization of the
- * orchestration layer underneath.
+ * Lowering rule: expand() nests hssConfig (outermost), workload,
+ * policy, seed (innermost); that is also the row order of the
+ * results. The scenario layer adds zero simulation semantics of its
+ * own: every run key derives from the RunSpec fields it fills.
  */
 
 #pragma once
@@ -94,8 +92,6 @@ struct DeviceOverride
     /** The FaultConfig this override produces on a preset (fault-free)
      *  device — the whole-config validation input. */
     device::FaultConfig faultConfig() const;
-
-    bool operator==(const DeviceOverride &o) const;
 };
 
 /** One declarative experiment (see file header). */
@@ -146,40 +142,28 @@ struct ScenarioSpec
      *  Results are thread-count invariant; this is throughput only. */
     unsigned numThreads = 0;
 
-    bool operator==(const ScenarioSpec &o) const;
-
     /**
-     * Lower to the dense matrix form (everything except
-     * deviceOverrides, which are not expressible there). Throws
-     * std::invalid_argument on bad sibylParams.
-     */
-    sim::ExperimentMatrix toMatrix() const;
-
-    /**
-     * Lower to runnable RunSpecs: toMatrix().expand() with the device
-     * overrides attached as each spec's specTweak. Validates that
-     * every policy descriptor resolves in the PolicyFactory and that
-     * every override's device slot exists in every named hssConfig;
+     * Lower to runnable RunSpecs in the nesting order of the file
+     * header, with the device overrides attached as each spec's
+     * specTweak. Validates that every policy descriptor resolves in
+     * the PolicyFactory, that every override's device slot exists in
+     * every named hssConfig, and rejects knobs that would be silently
+     * ignored (timeCompress < 1, queueDepth 0, sibylParams.seed);
      * throws std::invalid_argument otherwise.
      */
     std::vector<sim::RunSpec> expand() const;
 };
 
-/** Parse a scenario JSON document. Unknown keys, ill-typed values, and
- *  malformed JSON throw std::invalid_argument with a diagnostic. */
+/** Parse a scenario JSON document. Unknown keys, ill-typed or
+ *  out-of-range values, and malformed JSON throw
+ *  std::invalid_argument with a diagnostic. */
 ScenarioSpec parseScenarioJson(const std::string &text);
-
-/** Serialize; parse(emit(s)) == s, and emit is byte-deterministic. */
-std::string emitScenarioJson(const ScenarioSpec &spec);
 
 /** Parse the scenario file at @p path (error messages name the file). */
 ScenarioSpec loadScenarioFile(const std::string &path);
 
-/** runner.runAll(spec.expand()) — records in matrix order. */
-std::vector<sim::RunRecord> runScenario(const ScenarioSpec &spec,
-                                        sim::ParallelRunner &runner);
-
-/** Run with a fresh runner configured from spec.numThreads. */
+/** runAll(spec.expand()) on a fresh runner configured from
+ *  spec.numThreads — records in expand() order. */
 std::vector<sim::RunRecord> runScenario(const ScenarioSpec &spec);
 
 } // namespace sibyl::scenario

@@ -85,15 +85,6 @@ struct FleetTenant
     {
         return faults.enabled() || faults.hardFaultsEnabled();
     }
-
-    bool operator==(const FleetTenant &o) const
-    {
-        return policy == o.policy && workload == o.workload &&
-               mixedWorkload == o.mixedWorkload &&
-               traceLen == o.traceLen && traceSeed == o.traceSeed &&
-               timeCompress == o.timeCompress &&
-               faultDevice == o.faultDevice && faults == o.faults;
-    }
 };
 
 /** Immutable description of a fleet run's tenant set. */

@@ -136,36 +136,6 @@ RunSpec::traceKey() const
     return k;
 }
 
-std::vector<RunSpec>
-ExperimentMatrix::expand() const
-{
-    std::vector<RunSpec> specs;
-    specs.reserve(hssConfigs.size() * workloads.size() * policies.size() *
-                  seeds.size());
-    for (const auto &cfgName : hssConfigs) {
-        for (const auto &wl : workloads) {
-            for (const auto &pol : policies) {
-                for (std::uint64_t sd : seeds) {
-                    RunSpec s;
-                    s.policy = pol;
-                    s.workload = wl;
-                    s.mixedWorkload = mixedWorkloads;
-                    s.hssConfig = cfgName;
-                    s.fastCapacityFrac = fastCapacityFrac;
-                    s.traceLen = traceLen;
-                    s.traceSeed = traceSeed;
-                    s.timeCompress = timeCompress;
-                    s.seed = sd;
-                    s.sim = sim;
-                    s.sibylCfg = sibylCfg;
-                    specs.push_back(std::move(s));
-                }
-            }
-        }
-    }
-    return specs;
-}
-
 ParallelRunner::ParallelRunner(ParallelConfig cfg) : cfg_(cfg) {}
 
 std::uint64_t
@@ -343,12 +313,6 @@ ParallelRunner::runAll(const std::vector<RunSpec> &specs,
     return records;
 }
 
-std::vector<RunRecord>
-ParallelRunner::runMatrix(const ExperimentMatrix &m)
-{
-    return runAll(m.expand());
-}
-
 void
 writeResultsJson(std::ostream &os, const std::vector<RunRecord> &records)
 {
@@ -359,9 +323,9 @@ void
 writeRecordJson(std::ostream &os, const RunRecord &r,
                 const ResultsAnnotations::Group *group)
 {
-    // String escaping and double formatting are shared with the
-    // scenario serializer (scenario::jsonQuote / jsonNumber) so the
-    // two byte-determinism contracts cannot drift apart.
+    // String escaping and double formatting are the scenario layer's
+    // (scenario::jsonQuote / jsonNumber), which also spells the
+    // variant tags, so one byte-determinism contract covers both.
     const RunMetrics &m = r.result.metrics;
     char key[32];
     std::snprintf(key, sizeof(key), "0x%016llx",

@@ -2,15 +2,16 @@
  * @file
  * Parallel experiment orchestration.
  *
- * Shards an experiment matrix (policies x workloads x HSS configs x
- * seeds) across cores: each run is an independent (trace, system,
- * policy) simulation writing its PolicyResult into a preallocated slot,
- * traces are generated once and shared read-only through a
- * trace::TraceCache, and Fast-Only baselines are computed once per
- * (config, trace, seed) and shared the same way. `ParallelConfig::
- * numThreads = 1` runs the identical work inline on the calling thread
- * in matrix order — the serial equivalence oracle the determinism tests
- * compare the parallel path against.
+ * Shards a batch of RunSpecs (typically one scenario::ScenarioSpec
+ * grid: policies x workloads x HSS configs x seeds) across cores: each
+ * run is an independent (trace, system, policy) simulation writing
+ * its PolicyResult into a preallocated slot, traces are generated
+ * once and shared read-only through a trace::TraceCache, and
+ * Fast-Only baselines are computed once per (config, trace, seed) and
+ * shared the same way. `ParallelConfig::numThreads = 1` runs the
+ * identical work inline on the calling thread in batch order — the
+ * serial equivalence oracle the determinism tests compare the
+ * parallel path against.
  *
  * ## Run-key -> RNG-stream derivation rule
  *
@@ -24,7 +25,7 @@
  *     — i.e. exactly the fields that influence simulation dynamics
  *     (the trailing variantTag component is appended only when
  *     non-empty, standing in for the unhashable specTweak closure it
- *     describes). Matrix position, thread count, and result-only
+ *     describes). Batch position, thread count, and result-only
  *     knobs (recordPerRequest) are deliberately excluded — as are the
  *     `guardrail*` params of a policy descriptor: run supervision is
  *     observation-only until it trips, so "Sibyl" and
@@ -74,7 +75,7 @@ struct FleetSpec; // sim/fleet.hh
  *  above). */
 std::string policyIdentity(const std::string &policy);
 
-/** One cell of an experiment matrix: everything that defines a run. */
+/** One cell of an experiment grid: everything that defines a run. */
 struct RunSpec
 {
     /** Policy name understood by makePolicy(). */
@@ -174,33 +175,9 @@ struct ParallelConfig
 };
 
 /**
- * Dense cross-product description of an experiment matrix. expand()
- * enumerates RunSpecs in a deterministic nesting order — HSS config
- * (outermost), workload, policy, seed (innermost) — which is also the
- * row order of the emitted results.
- */
-struct ExperimentMatrix
-{
-    std::vector<std::string> policies;
-    std::vector<std::string> workloads;
-    std::vector<std::string> hssConfigs = {"H&M"};
-    std::vector<std::uint64_t> seeds = {42};
-
-    bool mixedWorkloads = false;
-    double fastCapacityFrac = 0.10;
-    std::size_t traceLen = 0;
-    std::uint64_t traceSeed = 0;
-    double timeCompress = 1.0;
-    SimConfig sim;
-    core::SibylConfig sibylCfg;
-
-    std::vector<RunSpec> expand() const;
-};
-
-/**
  * Runs RunSpec batches across a worker pool. Stateless between runAll()
  * calls except for the trace and baseline caches, which persist so
- * successive matrices over the same workloads reuse them.
+ * successive batches over the same workloads reuse them.
  */
 class ParallelRunner
 {
@@ -228,9 +205,6 @@ class ParallelRunner
     /** runAll() with a per-run completion hook. */
     std::vector<RunRecord> runAll(const std::vector<RunSpec> &specs,
                                   const RunDoneFn &onRunDone);
-
-    /** Convenience: runAll(matrix.expand()). */
-    std::vector<RunRecord> runMatrix(const ExperimentMatrix &m);
 
     trace::TraceCache &traceCache() { return traces_; }
     const ParallelConfig &config() const { return cfg_; }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Campaign-layer tests: manifest JSON round-trip identity, lowering
+ * Campaign-layer tests: manifest JSON parsing, lowering
  * (per-entry tag/requests/seeds overrides, duplicate detection, path
  * resolution), the two merge contracts — a campaign is bit-identical
  * to running each scenario file alone, and its merged results JSON is
@@ -29,34 +29,40 @@ namespace sibyl::scenario
 namespace
 {
 
-// ------------------------- manifest round-trip ------------------------
+// ------------------------- manifest parsing ---------------------------
 
-CampaignSpec
-fullManifest()
+TEST(CampaignSpec, ParseReadsEveryKey)
 {
-    CampaignSpec c;
-    c.name = "roundtrip-campaign";
-    CampaignEntry a;
-    a.file = "smoke.json";
-    CampaignEntry b;
-    b.file = "fig8_buffer_sweep.json";
-    b.tag = "fig8-smoke";
-    b.requests = 300;
-    b.seeds = {7, 0xDEADBEEFDEADBEEFULL};
-    c.entries = {a, b};
-    c.numThreads = 2;
-    return c;
-}
+    // Every manifest and entry key, a seed in the top half of uint64,
+    // and an entry that leaves its optional keys out.
+    const CampaignSpec c = parseCampaignJson(R"({
+      "name": "every-key",
+      "scenarios": [
+        {"file": "smoke.json"},
+        {"file": "fig8_buffer_sweep.json", "tag": "fig8-smoke",
+         "requests": 300, "seeds": [7, 16045690984833335023]}
+      ],
+      "numThreads": 2
+    })");
+    EXPECT_EQ(c.name, "every-key");
+    EXPECT_EQ(c.numThreads, 2u);
+    EXPECT_TRUE(c.baseDir.empty());
+    ASSERT_EQ(c.entries.size(), 2u);
+    EXPECT_EQ(c.entries[0].file, "smoke.json");
+    EXPECT_TRUE(c.entries[0].tag.empty());
+    EXPECT_EQ(c.entries[0].requests, 0u);
+    EXPECT_TRUE(c.entries[0].seeds.empty());
+    EXPECT_EQ(c.entries[1].file, "fig8_buffer_sweep.json");
+    EXPECT_EQ(c.entries[1].tag, "fig8-smoke");
+    EXPECT_EQ(c.entries[1].requests, 300u);
+    EXPECT_EQ(c.entries[1].seeds, (std::vector<std::uint64_t>{
+                                      7, 0xDEADBEEFDEADBEEFULL}));
 
-TEST(CampaignSpec, JsonRoundTripIsIdentity)
-{
-    const CampaignSpec c = fullManifest();
-    const std::string text = emitCampaignJson(c);
-    const CampaignSpec back = parseCampaignJson(text);
-    EXPECT_TRUE(back == c);
-    // emit(parse(emit(c))) is byte-identical: manifests can be
-    // regenerated mechanically without churn.
-    EXPECT_EQ(emitCampaignJson(back), text);
+    // Keys a manifest leaves out keep the struct defaults.
+    const CampaignSpec bare =
+        parseCampaignJson(R"({"scenarios": [{"file": "a.json"}]})");
+    EXPECT_EQ(bare.name, CampaignSpec().name);
+    EXPECT_EQ(bare.numThreads, CampaignSpec().numThreads);
 }
 
 TEST(CampaignSpec, ParseDiagnosesBadManifests)
@@ -92,6 +98,11 @@ TEST(CampaignSpec, ParseDiagnosesBadManifests)
     EXPECT_THROW(parseCampaignJson(
                      "{\"scenarios\": [{\"file\": \"a.json\", "
                      "\"requests\": 0}]}"),
+                 std::invalid_argument);
+    // A thread count past 32 bits is rejected, not wrapped.
+    EXPECT_THROW(parseCampaignJson(
+                     "{\"scenarios\": [{\"file\": \"a.json\"}], "
+                     "\"numThreads\": 4294967297}"),
                  std::invalid_argument);
 }
 
@@ -229,10 +240,21 @@ threeScenarioCampaign()
     return c;
 }
 
+/** Run @p c without a checkpoint on a fresh runner sized by its
+ *  numThreads. */
+CampaignResult
+runFresh(const CampaignSpec &c)
+{
+    sim::ParallelConfig cfg;
+    cfg.numThreads = c.numThreads;
+    sim::ParallelRunner runner(cfg);
+    return runCampaign(c, runner, CampaignCheckpoint());
+}
+
 TEST(CampaignRun, BitIdenticalToRunningEachScenarioAlone)
 {
     const CampaignSpec c = threeScenarioCampaign();
-    const CampaignResult merged = runCampaign(c);
+    const CampaignResult merged = runFresh(c);
     ASSERT_EQ(merged.records.size(), 6u);
 
     // Each scenario alone, in a fresh runner (fresh caches): the
@@ -264,8 +286,8 @@ TEST(CampaignRun, MergedJsonByteIdenticalAtOneVsManyThreads)
     CampaignSpec parallel = serial;
     parallel.numThreads = 4;
 
-    const CampaignResult a = runCampaign(serial);
-    const CampaignResult b = runCampaign(parallel);
+    const CampaignResult a = runFresh(serial);
+    const CampaignResult b = runFresh(parallel);
 
     std::ostringstream ja, jb;
     writeCampaignResultsJson(ja, serial, a);
@@ -329,7 +351,7 @@ TEST(CampaignCheckpoint, KilledAndResumedMergeIsByteIdentical)
     c.numThreads = 2;
 
     // The uninterrupted reference (no checkpointing involved at all).
-    const CampaignResult ref = runCampaign(c);
+    const CampaignResult ref = runFresh(c);
     std::ostringstream refJson;
     writeCampaignResultsJson(refJson, c, ref);
 
@@ -800,8 +822,8 @@ TEST(RegressionGate, VanishedMetricIsARegression)
 TEST(CampaignFiles, CheckedInSmokeManifestLowers)
 {
     // Keep the CI gate's inputs honest: the manifest parses, names >= 3
-    // scenario files, round-trips, and lowers against the repo's
-    // scenario directory. (CI additionally runs it and diffs against
+    // scenario files, and lowers against the repo's scenario
+    // directory. (CI additionally runs it and diffs against
     // the checked-in baseline; runtime stays out of unit tests.)
     for (const char *dir : {"../scenarios", "scenarios"}) {
         const std::string path =
@@ -811,9 +833,6 @@ TEST(CampaignFiles, CheckedInSmokeManifestLowers)
             continue;
         const CampaignSpec c = loadCampaignFile(path);
         EXPECT_GE(c.entries.size(), 3u);
-        EXPECT_EQ(emitCampaignJson(parseCampaignJson(
-                      emitCampaignJson(c))),
-                  emitCampaignJson(c));
         const CampaignPlan plan = lowerCampaign(c);
         EXPECT_EQ(plan.scenarios.size(), c.entries.size());
         EXPECT_GE(plan.specs.size(), plan.scenarios.size());

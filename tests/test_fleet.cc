@@ -478,19 +478,29 @@ const char *kFleetScenarioJson = R"({
   "traceLen": 400
 })";
 
-TEST(FleetScenario, ParseEmitRoundTrip)
+TEST(FleetScenario, ParsesTenants)
 {
     const auto spec = scenario::parseScenarioJson(kFleetScenarioJson);
+    EXPECT_EQ(spec.name, "fleet-test");
+    EXPECT_TRUE(spec.policies.empty());
+    EXPECT_TRUE(spec.workloads.empty());
+    EXPECT_EQ(spec.traceLen, 400u);
     ASSERT_EQ(spec.fleetTenants.size(), 3u);
     EXPECT_EQ(spec.fleetTenants[0].policy, "Sibyl{trainEvery=100}");
     EXPECT_EQ(spec.fleetTenants[0].workload, "prxy_1");
     EXPECT_EQ(spec.fleetTenants[0].traceLen, 0u);
+    EXPECT_EQ(spec.fleetTenants[1].policy, "CDE");
     EXPECT_EQ(spec.fleetTenants[1].traceLen, 200u);
     EXPECT_DOUBLE_EQ(spec.fleetTenants[2].timeCompress, 2.0);
 
-    const auto again =
-        scenario::parseScenarioJson(scenario::emitScenarioJson(spec));
-    EXPECT_TRUE(spec == again);
+    // The two tenant keys the fixture leaves out.
+    const auto keyed = scenario::parseScenarioJson(R"({
+      "fleet": [{"workload": "mix1", "mixedWorkload": true,
+                 "traceSeed": 16045690984833335023}]})");
+    ASSERT_EQ(keyed.fleetTenants.size(), 1u);
+    EXPECT_EQ(keyed.fleetTenants[0].policy, sim::FleetTenant().policy);
+    EXPECT_TRUE(keyed.fleetTenants[0].mixedWorkload);
+    EXPECT_EQ(keyed.fleetTenants[0].traceSeed, 0xDEADBEEFDEADBEEFULL);
 }
 
 TEST(FleetScenario, LoweringProducesFleetRunSpecs)

@@ -141,24 +141,34 @@ TEST(HardFaultConfig, ScenarioLoweringNamesOffendingField)
     }
 }
 
-TEST(HardFaultConfig, ScenarioJsonRoundTripsHardFaultFields)
+TEST(HardFaultConfig, ScenarioJsonParsesHardFaultFields)
 {
-    scenario::ScenarioSpec sc;
-    sc.name = "chaos";
-    sc.policies = {"CDE"};
-    sc.workloads = {"rsrch_0"};
-    scenario::DeviceOverride ov;
-    ov.device = 0;
-    ov.offlineWindows.push_back({8000.0, 14000.0});
-    ov.failAtUs = 30000.0;
-    ov.drainPagesPerMs = 64.0;
-    ov.failoverTimeoutUs = 2000.0;
-    ov.failOnUnrecoverable = 1;
-    sc.deviceOverrides = {ov};
+    const auto sc = scenario::parseScenarioJson(R"({
+      "name": "chaos", "policies": ["CDE"], "workloads": ["rsrch_0"],
+      "deviceOverrides": [{
+        "device": 0,
+        "offlineWindows": [{"startUs": 8000, "endUs": 14000},
+                           {"startUs": 20000, "endUs": 21000}],
+        "failAtUs": 30000, "drainPagesPerMs": 64,
+        "failoverTimeoutUs": 2000, "failOnUnrecoverable": true}]})");
+    ASSERT_EQ(sc.deviceOverrides.size(), 1u);
+    const scenario::DeviceOverride &ov = sc.deviceOverrides[0];
+    EXPECT_EQ(ov.device, 0u);
+    EXPECT_EQ(ov.offlineWindows,
+              (std::vector<device::OfflineWindow>{{8000.0, 14000.0},
+                                                  {20000.0, 21000.0}}));
+    EXPECT_EQ(ov.failAtUs, 30000.0);
+    EXPECT_EQ(ov.drainPagesPerMs, 64.0);
+    EXPECT_EQ(ov.failoverTimeoutUs, 2000.0);
+    EXPECT_EQ(ov.failOnUnrecoverable, 1);
 
-    const auto parsed =
-        scenario::parseScenarioJson(scenario::emitScenarioJson(sc));
-    EXPECT_EQ(parsed, sc);
+    // And the fields reach the device's FaultConfig as parsed.
+    const device::FaultConfig fc = ov.faultConfig();
+    EXPECT_EQ(fc.offlineWindows, ov.offlineWindows);
+    EXPECT_EQ(fc.failAtUs, 30000.0);
+    EXPECT_EQ(fc.drainPagesPerMs, 64.0);
+    EXPECT_EQ(fc.failoverTimeoutUs, 2000.0);
+    EXPECT_TRUE(fc.failOnUnrecoverable);
 }
 
 TEST(HardFaultConfig, CanonicalDistinguishesArmedConfigs)

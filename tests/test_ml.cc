@@ -120,20 +120,6 @@ TEST(Softmax, StableForLargeLogits)
     EXPECT_NEAR(v[0] + v[1], 1.0f, 1e-6);
 }
 
-TEST(Loss, MseZeroAtTarget)
-{
-    Vector grad;
-    EXPECT_FLOAT_EQ(mseLoss({1.0f, 2.0f}, {1.0f, 2.0f}, grad), 0.0f);
-    EXPECT_FLOAT_EQ(grad[0], 0.0f);
-}
-
-TEST(Loss, MseGradientDirection)
-{
-    Vector grad;
-    mseLoss({2.0f}, {1.0f}, grad);
-    EXPECT_GT(grad[0], 0.0f); // pred too high -> positive gradient
-}
-
 TEST(Loss, SoftmaxCrossEntropyGradient)
 {
     // Closed form: grad = softmax(logits) - target.
@@ -262,9 +248,11 @@ TEST(Optimizer, AdamConvergesOnRegression)
             Vector x = {static_cast<float>(data.nextDouble(-1, 1)),
                         static_cast<float>(data.nextDouble(-1, 1)),
                         static_cast<float>(data.nextDouble(-1, 1))};
-            Vector target = {x[0] + 2 * x[1] - x[2]};
-            Vector grad;
-            lastLoss += mseLoss(net.forward(x), target, grad);
+            // Squared error (p - t)^2, gradient 2 (p - t).
+            const float d =
+                net.forward(x)[0] - (x[0] + 2 * x[1] - x[2]);
+            lastLoss += d * d;
+            Vector grad = {2.0f * d};
             net.backward(grad);
         }
         opt.step(net, 16);

@@ -31,27 +31,36 @@ namespace sibyl::sim
 namespace
 {
 
-/** The >= 24-run scenario matrix shared by the determinism tests:
- *  4 policies x 3 workloads x 2 HSS configs = 24 runs, including the
- *  RL policy so agent training and exploration are exercised. */
-ExperimentMatrix
-scenarioMatrix()
+/** The >= 24-run grid shared by the determinism tests: 4 policies x
+ *  3 workloads x 2 HSS configs = 24 runs, including the RL policy so
+ *  agent training and exploration are exercised. Built by hand in the
+ *  scenario layer's nesting order (config, workload, policy). */
+std::vector<RunSpec>
+gridSpecs()
 {
-    ExperimentMatrix m;
-    m.policies = {"CDE", "HPS", "Archivist", "Sibyl"};
-    m.workloads = {"hm_1", "usr_0", "stg_1"};
-    m.hssConfigs = {"H&M", "H&L"};
-    m.traceLen = 2000;
-    return m;
+    std::vector<RunSpec> specs;
+    for (const char *config : {"H&M", "H&L"}) {
+        for (const char *workload : {"hm_1", "usr_0", "stg_1"}) {
+            for (const char *policy : {"CDE", "HPS", "Archivist", "Sibyl"}) {
+                RunSpec s;
+                s.policy = policy;
+                s.workload = workload;
+                s.hssConfig = config;
+                s.traceLen = 2000;
+                specs.push_back(s);
+            }
+        }
+    }
+    return specs;
 }
 
 std::vector<RunRecord>
-runMatrixAt(unsigned numThreads)
+runGridAt(unsigned numThreads)
 {
     ParallelConfig cfg;
     cfg.numThreads = numThreads;
     ParallelRunner runner(cfg);
-    return runner.runMatrix(scenarioMatrix());
+    return runner.runAll(gridSpecs());
 }
 
 /** Bit-exact comparison of two result sets (EXPECT_EQ on doubles is
@@ -99,8 +108,8 @@ expectIdentical(const std::vector<RunRecord> &a,
 
 TEST(ParallelRunner, SerialVsEightThreadsBitExact)
 {
-    const auto serial = runMatrixAt(1);
-    const auto parallel = runMatrixAt(8);
+    const auto serial = runGridAt(1);
+    const auto parallel = runGridAt(8);
     ASSERT_EQ(serial.size(), 24u);
     expectIdentical(serial, parallel);
 
@@ -113,8 +122,8 @@ TEST(ParallelRunner, SerialVsEightThreadsBitExact)
 
 TEST(ParallelRunner, RepeatedEightThreadRunsBitExact)
 {
-    const auto first = runMatrixAt(8);
-    const auto second = runMatrixAt(8);
+    const auto first = runGridAt(8);
+    const auto second = runGridAt(8);
     expectIdentical(first, second);
 
     // The structured JSON sink serializes doubles at full precision,
@@ -127,8 +136,8 @@ TEST(ParallelRunner, RepeatedEightThreadRunsBitExact)
 
 TEST(ParallelRunner, ResultsIndexedByMatrixOrderNotSchedule)
 {
-    const auto records = runMatrixAt(8);
-    const auto specs = scenarioMatrix().expand();
+    const auto records = runGridAt(8);
+    const auto specs = gridSpecs();
     ASSERT_EQ(records.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); i++) {
         EXPECT_EQ(records[i].spec.policy, specs[i].policy);
@@ -144,7 +153,7 @@ TEST(ParallelRunner, TraceCacheGeneratesEachTraceOnce)
     ParallelConfig cfg;
     cfg.numThreads = 8;
     ParallelRunner runner(cfg);
-    const auto records = runner.runMatrix(scenarioMatrix());
+    const auto records = runner.runAll(gridSpecs());
     ASSERT_EQ(records.size(), 24u);
     // 3 distinct workloads at one (len, seed) each -> 3 generations,
     // no matter how many of the 24 runs raced for them.
@@ -277,14 +286,17 @@ TEST(ParallelRunner, UnknownPolicyBecomesStructuredFailureRecord)
     // Failure isolation (the default): a run that cannot even build
     // its policy is recorded as a failure, not thrown — the rest of
     // the batch completes.
-    ExperimentMatrix m;
-    m.policies = {"CDE", "NoSuchPolicy"};
-    m.workloads = {"usr_0"};
-    m.traceLen = 500;
+    std::vector<RunSpec> specs(2);
+    specs[0].policy = "CDE";
+    specs[1].policy = "NoSuchPolicy";
+    for (RunSpec &s : specs) {
+        s.workload = "usr_0";
+        s.traceLen = 500;
+    }
     ParallelConfig cfg;
     cfg.numThreads = 4;
     ParallelRunner runner(cfg);
-    const auto records = runner.runMatrix(m);
+    const auto records = runner.runAll(specs);
     ASSERT_EQ(records.size(), 2u);
     EXPECT_FALSE(records[0].failed());
     EXPECT_GT(records[0].result.metrics.requests, 0u);
@@ -396,7 +408,7 @@ TEST(ParallelRunner, ParallelPathIsFasterOnMulticoreHosts)
         cfg.numThreads = threads;
         ParallelRunner runner(cfg);
         const auto start = std::chrono::steady_clock::now();
-        runner.runMatrix(scenarioMatrix());
+        runner.runAll(gridSpecs());
         return std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - start)
             .count();

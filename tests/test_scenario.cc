@@ -2,11 +2,11 @@
  * @file
  * Scenario-layer tests: policy-descriptor parsing, registry
  * completeness (every shipped policy constructible from its name),
- * SibylConfig parameter application, ScenarioSpec JSON round-trip,
+ * SibylConfig parameter application, ScenarioSpec JSON parsing,
  * lowering to RunSpecs (including declarative device overrides), and
  * the migrated-bench contract — a fig8-style sweep built from a
  * scenario is bit-exact between 1-thread and multi-thread execution
- * and identical to the hand-built ExperimentMatrix it replaces.
+ * and identical to the RunSpecs a hand-written nested loop builds.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -200,6 +201,73 @@ TEST(PolicyFactory, RuntimeRegistrationExtendsAndShadows)
 
 // ----------------------------- JSON model ----------------------------
 
+/** Test-local serializer, the inverse the parser's properties are
+ *  checked against: 2-space indentation, exact integers, %.17g
+ *  doubles, so two equal documents print byte-identically. */
+void
+dumpTo(const JsonValue &v, std::string &out, int indent)
+{
+    const std::string pad(2 * static_cast<std::size_t>(indent), ' ');
+    const std::string padIn = pad + "  ";
+    switch (v.kind()) {
+      case JsonValue::Kind::Null:
+        out += "null";
+        break;
+      case JsonValue::Kind::Bool:
+        out += v.asBool() ? "true" : "false";
+        break;
+      case JsonValue::Kind::Number:
+        if (!v.isIntegral())
+            out += jsonNumber(v.asDouble());
+        else if (v.asDouble() < 0.0)
+            out += std::to_string(v.asInt());
+        else
+            out += std::to_string(v.asUint());
+        break;
+      case JsonValue::Kind::String:
+        out += jsonQuote(v.asString());
+        break;
+      case JsonValue::Kind::Array: {
+        const auto &arr = v.asArray();
+        if (arr.empty()) {
+            out += "[]";
+            break;
+        }
+        out += "[\n";
+        for (std::size_t i = 0; i < arr.size(); i++) {
+            out += padIn;
+            dumpTo(arr[i], out, indent + 1);
+            out += i + 1 < arr.size() ? ",\n" : "\n";
+        }
+        out += pad + "]";
+        break;
+      }
+      case JsonValue::Kind::Object: {
+        const auto &obj = v.asObject();
+        if (obj.empty()) {
+            out += "{}";
+            break;
+        }
+        out += "{\n";
+        for (std::size_t i = 0; i < obj.size(); i++) {
+            out += padIn + jsonQuote(obj[i].first) + ": ";
+            dumpTo(obj[i].second, out, indent + 1);
+            out += i + 1 < obj.size() ? ",\n" : "\n";
+        }
+        out += pad + "}";
+        break;
+      }
+    }
+}
+
+std::string
+dump(const JsonValue &v)
+{
+    std::string out;
+    dumpTo(v, out, 0);
+    return out + "\n";
+}
+
 TEST(Json, ParseAndDumpBasics)
 {
     const auto v = jsonParse(
@@ -214,8 +282,8 @@ TEST(Json, ParseAndDumpBasics)
     EXPECT_TRUE(v.find("c")->isNull());
 
     // dump() is deterministic and reparses to the same document.
-    const std::string once = v.dump();
-    EXPECT_EQ(jsonParse(once).dump(), once);
+    const std::string once = dump(v);
+    EXPECT_EQ(dump(jsonParse(once)), once);
 }
 
 TEST(Json, FullUint64RangeRoundTrips)
@@ -225,8 +293,8 @@ TEST(Json, FullUint64RangeRoundTrips)
     const std::uint64_t big = 0xFFFFFFFFFFFFFFFFULL;
     JsonValue v = JsonValue::of(big);
     EXPECT_EQ(v.asUint(), big);
-    EXPECT_EQ(jsonParse(v.dump()).asUint(), big);
-    EXPECT_THROW(jsonParse(v.dump()).asInt(), std::invalid_argument);
+    EXPECT_EQ(jsonParse(dump(v)).asUint(), big);
+    EXPECT_THROW(jsonParse(dump(v)).asInt(), std::invalid_argument);
 
     const auto neg = jsonParse("-9223372036854775808");
     EXPECT_EQ(neg.asInt(), std::numeric_limits<std::int64_t>::min());
@@ -302,14 +370,14 @@ TEST(JsonProperty, RandomTreesDumpParseRedumpByteIdentical)
 {
     // dump -> parse -> dump is a fixed point for arbitrary trees: the
     // byte-determinism contract every golden JSON comparison (merged
-    // campaign results at 1 vs N threads, scenario emit) rests on.
+    // campaign results at 1 vs N threads) rests on.
     std::mt19937_64 rng(0xC0FFEE);
     for (int iter = 0; iter < 500; iter++) {
         const JsonValue tree = randomTree(rng, 3);
-        const std::string once = tree.dump();
+        const std::string once = dump(tree);
         JsonValue back;
         ASSERT_NO_THROW(back = jsonParse(once)) << once;
-        EXPECT_EQ(back.dump(), once) << "iteration " << iter;
+        EXPECT_EQ(dump(back), once) << "iteration " << iter;
     }
 }
 
@@ -320,12 +388,12 @@ TEST(JsonProperty, RandomIntegersSurviveExactly)
     std::mt19937_64 rng(0x5EED);
     for (int iter = 0; iter < 2000; iter++) {
         const std::uint64_t u = rng();
-        const JsonValue vu = jsonParse(JsonValue::of(u).dump());
+        const JsonValue vu = jsonParse(dump(JsonValue::of(u)));
         ASSERT_TRUE(vu.isIntegral());
         EXPECT_EQ(vu.asUint(), u);
 
         const std::int64_t i = static_cast<std::int64_t>(rng());
-        const JsonValue vi = jsonParse(JsonValue::of(i).dump());
+        const JsonValue vi = jsonParse(dump(JsonValue::of(i)));
         ASSERT_TRUE(vi.isIntegral());
         EXPECT_EQ(vi.asInt(), i);
     }
@@ -345,17 +413,17 @@ TEST(JsonProperty, RandomDoublesSurviveThe17gContract)
         if (!std::isfinite(d) || d == 0.0)
             continue; // JSON has no inf/nan literal; ±0 is integral
         tested++;
-        const JsonValue v = jsonParse(JsonValue::of(d).dump());
+        const JsonValue v = jsonParse(dump(JsonValue::of(d)));
         ASSERT_TRUE(v.isNumber());
-        EXPECT_EQ(v.asDouble(), d) << JsonValue::of(d).dump();
+        EXPECT_EQ(v.asDouble(), d) << dump(JsonValue::of(d));
     }
     for (const double d :
          {0.1, 1.0 / 3.0, 1e-308, 5e-324,
           std::numeric_limits<double>::max(),
           std::nextafter(1.0, 2.0), 2.2250738585072011e-308}) {
-        const std::string text = JsonValue::of(d).dump();
+        const std::string text = dump(JsonValue::of(d));
         EXPECT_EQ(jsonParse(text).asDouble(), d) << text;
-        EXPECT_EQ(jsonParse(text).dump(), text) << text;
+        EXPECT_EQ(dump(jsonParse(text)), text) << text;
     }
 }
 
@@ -433,7 +501,7 @@ ScenarioSpec
 fullSpec()
 {
     ScenarioSpec s;
-    s.name = "roundtrip";
+    s.name = "full";
     s.policies = {"CDE", "Sibyl{gamma=0.5,hidden=8x9}"};
     s.workloads = {"prxy_1", "hm_1"};
     s.hssConfigs = {"H&M", "H&L"};
@@ -457,15 +525,97 @@ fullSpec()
     return s;
 }
 
-TEST(ScenarioSpec, JsonRoundTripIsIdentity)
+TEST(ScenarioSpec, ParseReadsEveryKey)
 {
-    const ScenarioSpec s = fullSpec();
-    const std::string text = emitScenarioJson(s);
-    const ScenarioSpec back = parseScenarioJson(text);
-    EXPECT_TRUE(back == s);
-    // emit(parse(emit(s))) is byte-identical: the serialization is a
-    // fixed point, so scenario files can be regenerated mechanically.
-    EXPECT_EQ(emitScenarioJson(back), text);
+    // Every scenario key (the fleet form is FleetScenario's), every
+    // device-override key, and a seed in the top half of uint64.
+    const ScenarioSpec s = parseScenarioJson(R"({
+      "name": "every-key",
+      "policies": ["CDE", "Sibyl{gamma=0.5,hidden=8x9}"],
+      "workloads": ["prxy_1", "hm_1"],
+      "hssConfigs": ["H&M", "H&L"],
+      "seeds": [7, 16045690984833335023],
+      "mixedWorkloads": true,
+      "fastCapacityFrac": 0.05,
+      "traceLen": 1234,
+      "traceSeed": 99,
+      "timeCompress": 50,
+      "queueDepth": 4,
+      "recordPerRequest": true,
+      "sibylParams": {"trainEvery": "250", "epsilon": 0.01},
+      "deviceOverrides": [{
+        "device": 1,
+        "channels": 4,
+        "detailedFtl": true,
+        "ftlPagesPerBlock": 64,
+        "ftlRatedPeCycles": 3000,
+        "ftlGrownBadProb": 0.001,
+        "ftlWearLevelSpread": 50,
+        "faultWindows": [
+          {"startUs": 1000, "endUs": 2000, "latencyMultiplier": 30}],
+        "offlineWindows": [{"startUs": 8000, "endUs": 14000}],
+        "failAtUs": 30000,
+        "drainPagesPerMs": 64,
+        "failoverTimeoutUs": 2000,
+        "failOnUnrecoverable": true
+      }],
+      "numThreads": 2
+    })");
+    EXPECT_EQ(s.name, "every-key");
+    EXPECT_EQ(s.policies, (std::vector<std::string>{
+                              "CDE", "Sibyl{gamma=0.5,hidden=8x9}"}));
+    EXPECT_EQ(s.workloads,
+              (std::vector<std::string>{"prxy_1", "hm_1"}));
+    EXPECT_TRUE(s.fleetTenants.empty());
+    EXPECT_EQ(s.hssConfigs, (std::vector<std::string>{"H&M", "H&L"}));
+    EXPECT_EQ(s.seeds, (std::vector<std::uint64_t>{
+                           7, 0xDEADBEEFDEADBEEFULL}));
+    EXPECT_TRUE(s.mixedWorkloads);
+    EXPECT_EQ(s.fastCapacityFrac, 0.05);
+    EXPECT_EQ(s.traceLen, 1234u);
+    EXPECT_EQ(s.traceSeed, 99u);
+    EXPECT_EQ(s.timeCompress, 50.0);
+    EXPECT_EQ(s.queueDepth, 4u);
+    EXPECT_TRUE(s.recordPerRequest);
+    EXPECT_EQ(s.sibylParams,
+              (std::map<std::string, std::string>{
+                  {"trainEvery", "250"}, {"epsilon", "0.01"}}));
+    EXPECT_EQ(s.numThreads, 2u);
+
+    ASSERT_EQ(s.deviceOverrides.size(), 1u);
+    const DeviceOverride &ov = s.deviceOverrides[0];
+    EXPECT_EQ(ov.device, 1u);
+    EXPECT_EQ(ov.channels, 4u);
+    EXPECT_EQ(ov.detailedFtl, 1);
+    EXPECT_EQ(ov.ftlPagesPerBlock, 64u);
+    EXPECT_EQ(ov.ftlRatedPeCycles, 3000u);
+    EXPECT_EQ(ov.ftlGrownBadProb, 0.001);
+    EXPECT_EQ(ov.ftlWearLevelSpread, 50u);
+    EXPECT_EQ(ov.faultWindows,
+              (std::vector<device::DegradedWindow>{
+                  {1000.0, 2000.0, 30.0}}));
+    EXPECT_EQ(ov.offlineWindows,
+              (std::vector<device::OfflineWindow>{{8000.0, 14000.0}}));
+    EXPECT_EQ(ov.failAtUs, 30000.0);
+    EXPECT_EQ(ov.drainPagesPerMs, 64.0);
+    EXPECT_EQ(ov.failoverTimeoutUs, 2000.0);
+    EXPECT_EQ(ov.failOnUnrecoverable, 1);
+
+    // Keys a document leaves out keep the struct defaults.
+    const ScenarioSpec bare = parseScenarioJson(
+        R"({"policies": ["CDE"], "workloads": ["prxy_1"],
+            "deviceOverrides": [{"device": 0}]})");
+    const ScenarioSpec dflt;
+    EXPECT_EQ(bare.name, dflt.name);
+    EXPECT_EQ(bare.hssConfigs, dflt.hssConfigs);
+    EXPECT_EQ(bare.seeds, dflt.seeds);
+    EXPECT_EQ(bare.queueDepth, dflt.queueDepth);
+    EXPECT_EQ(bare.numThreads, dflt.numThreads);
+    const DeviceOverride &none = bare.deviceOverrides.at(0);
+    EXPECT_EQ(none.detailedFtl, -1);
+    EXPECT_EQ(none.ftlGrownBadProb, -1.0);
+    EXPECT_EQ(none.failAtUs, -1.0);
+    EXPECT_EQ(none.failOnUnrecoverable, -1);
 }
 
 TEST(ScenarioSpec, ParseDiagnosesBadInput)
@@ -486,6 +636,30 @@ TEST(ScenarioSpec, ParseDiagnosesBadInput)
                      "{\"policies\": [\"CDE\"], \"workloads\": "
                      "[\"prxy_1\"], \"traceLen\": \"many\"}"),
                  std::invalid_argument);
+    // 32-bit fields reject what they cannot hold, naming the key,
+    // instead of wrapping (2^32 + 1 would otherwise read as 1).
+    const auto outOfRange = [](const std::string &key,
+                               const std::string &doc) {
+        try {
+            parseScenarioJson(doc);
+            ADD_FAILURE() << key << " = 4294967297 accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("\"" + key + "\""),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    const std::string grid =
+        "{\"policies\": [\"CDE\"], \"workloads\": [\"prxy_1\"], ";
+    for (const char *key : {"device", "channels", "ftlPagesPerBlock"})
+        outOfRange(key, grid + "\"deviceOverrides\": [{\"" + key +
+                            "\": 4294967297}]}");
+    for (const char *key : {"queueDepth", "numThreads"})
+        outOfRange(key, grid + "\"" + key + "\": 4294967297}");
+    // The largest value a field holds still parses.
+    EXPECT_EQ(parseScenarioJson(grid + "\"queueDepth\": 4294967295}")
+                  .queueDepth,
+              4294967295u);
 }
 
 TEST(ScenarioSpec, RejectsMalformedFaultWindowsAtLowering)
@@ -570,10 +744,10 @@ TEST(ScenarioSpec, SibylParamsAcceptJsonScalars)
         "{\"policies\": [\"Sibyl\"], \"workloads\": [\"prxy_1\"], "
         "\"sibylParams\": {\"gamma\": 0.5, \"trainEvery\": 250, "
         "\"doubleDqn\": true}}");
-    const auto matrix = s.toMatrix();
-    EXPECT_DOUBLE_EQ(matrix.sibylCfg.gamma, 0.5);
-    EXPECT_EQ(matrix.sibylCfg.trainEvery, 250u);
-    EXPECT_TRUE(matrix.sibylCfg.doubleDqn);
+    const core::SibylConfig cfg = s.expand().at(0).sibylCfg;
+    EXPECT_DOUBLE_EQ(cfg.gamma, 0.5);
+    EXPECT_EQ(cfg.trainEvery, 250u);
+    EXPECT_TRUE(cfg.doubleDqn);
 }
 
 TEST(ScenarioSpec, ExpandLowersToMatrixOrderWithOverrides)
@@ -616,19 +790,23 @@ TEST(ScenarioSpec, ExpandLowersToMatrixOrderWithOverrides)
 
 TEST(ScenarioSpec, RejectsSilentlyIgnoredKnobs)
 {
-    // Both of these would otherwise be accepted and then have no
-    // effect: compression never stretches (trace-cache contract), and
-    // run seeds are derived from the run key.
+    // Each of these would otherwise be accepted and then have no
+    // effect: compression never stretches (trace-cache contract), the
+    // simulator runs depth 0 as depth 1 (under a run key that says
+    // 0), and run seeds are derived from the run key.
     ScenarioSpec s;
     s.policies = {"Sibyl"};
     s.workloads = {"prxy_1"};
     s.timeCompress = 0.5;
-    EXPECT_THROW(s.toMatrix(), std::invalid_argument);
+    EXPECT_THROW(s.expand(), std::invalid_argument);
     s.timeCompress = 1.0;
+    s.queueDepth = 0;
+    EXPECT_THROW(s.expand(), std::invalid_argument);
+    s.queueDepth = 1;
     s.sibylParams = {{"seed", "7"}};
-    EXPECT_THROW(s.toMatrix(), std::invalid_argument);
+    EXPECT_THROW(s.expand(), std::invalid_argument);
     s.sibylParams.clear();
-    EXPECT_NO_THROW(s.toMatrix());
+    EXPECT_NO_THROW(s.expand());
 }
 
 TEST(ScenarioSpec, ExpandValidatesPoliciesAndOverrideDevices)
@@ -694,18 +872,26 @@ TEST(ScenarioRun, Fig8SweepBitExactAtOneVsManyThreads)
 TEST(ScenarioRun, ScenarioMatchesHandBuiltMatrixBitForBit)
 {
     // The migration contract: a scenario lowers to exactly the
-    // RunSpecs the hand-written bench code would have built, so the
-    // results are bit-identical, not merely statistically equal.
+    // RunSpecs hand-written bench code builds — workload outer, policy
+    // inner, at the one config and seed — so the results are
+    // bit-identical, not merely statistically equal.
     const auto viaScenario = runScenario(miniFig8());
 
-    sim::ExperimentMatrix m;
-    m.policies = {"Sibyl{bufferCapacity=10,trainEvery=250}",
-                  "Sibyl{bufferCapacity=1000,trainEvery=250}"};
-    m.workloads = {"hm_1", "prxy_1"};
-    m.hssConfigs = {"H&M"};
-    m.traceLen = 600;
+    std::vector<sim::RunSpec> specs;
+    for (const char *workload : {"hm_1", "prxy_1"}) {
+        for (const char *policy :
+             {"Sibyl{bufferCapacity=10,trainEvery=250}",
+              "Sibyl{bufferCapacity=1000,trainEvery=250}"}) {
+            sim::RunSpec r;
+            r.policy = policy;
+            r.workload = workload;
+            r.hssConfig = "H&M";
+            r.traceLen = 600;
+            specs.push_back(r);
+        }
+    }
     sim::ParallelRunner runner;
-    const auto viaMatrix = runner.runMatrix(m);
+    const auto viaMatrix = runner.runAll(specs);
 
     ASSERT_EQ(viaScenario.size(), viaMatrix.size());
     for (std::size_t i = 0; i < viaScenario.size(); i++) {
